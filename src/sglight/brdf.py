@@ -18,10 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, mixture_radiance
+from .sg import SgEnvironment, _as_unit, _pixel_visibility, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
+# pixel-nodes shaded at once; a (pixels, M) float64 temporary is 1 MB
+CHUNK_NODES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,25 @@ def onb(n: np.ndarray):
     return t, bb
 
 
+def _grid_factors(resolution, mode):
+    """hemisphere_grid's factors ((sin, cos) theta_i, (cos, sin) phi_j), weights."""
+    n_lat, n_lon = resolution
+    if n_lat < 1 or n_lon < 1:
+        raise ValueError("resolution must be positive")
+    phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
+    if mode == "equal_area":
+        u = (np.arange(n_lat) + 0.5) / n_lat
+        w = np.full(n_lat * n_lon, 2.0 * np.pi / (n_lat * n_lon))
+    elif mode == "uniform":
+        theta = (np.arange(n_lat) + 0.5) * (0.5 * np.pi) / n_lat
+        u = np.cos(theta)
+        w = np.repeat(np.sin(theta) * (0.5 * np.pi / n_lat) * (2.0 * np.pi / n_lon), n_lon)
+    else:
+        raise ValueError(f"unknown grid mode {mode!r}")
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    return (st, u, np.cos(phi), np.sin(phi)), w
+
+
 def hemisphere_grid(resolution=(32, 64), mode: str = "equal_area"):
     """Quadrature nodes over the local (+z) hemisphere.
 
@@ -142,37 +163,9 @@ def hemisphere_grid(resolution=(32, 64), mode: str = "equal_area"):
     2*pi. uniform: theta uniform in [0, pi/2) with sin(theta) weights,
     the artifact-prone mode. Returns (local dirs (M, 3), weights (M,)).
     """
-    n_lat, n_lon = resolution
-    if n_lat < 1 or n_lon < 1:
-        raise ValueError("resolution must be positive")
-    phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
-    if mode == "equal_area":
-        u = (np.arange(n_lat) + 0.5) / n_lat
-        uu, pp = np.meshgrid(u, phi, indexing="ij")
-        w = np.full(n_lat * n_lon, 2.0 * np.pi / (n_lat * n_lon))
-    elif mode == "uniform":
-        theta = (np.arange(n_lat) + 0.5) * (0.5 * np.pi) / n_lat
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        uu = np.cos(tt)
-        w = (np.sin(tt) * (0.5 * np.pi / n_lat) * (2.0 * np.pi / n_lon)).reshape(-1)
-    else:
-        raise ValueError(f"unknown grid mode {mode!r}")
-    st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
-    local = np.stack([st * np.cos(pp), st * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-    return local, w
-
-
-def _world_dirs(local: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Rotate local (+z) grid dirs into each normal's frame.
-
-    local (M, 3), normals (..., 3) -> (..., M, 3).
-    """
-    t, b = onb(normals)
-    return (
-        local[..., 0:1] * t[..., None, :]
-        + local[..., 1:2] * b[..., None, :]
-        + local[..., 2:3] * normals[..., None, :]
-    )
+    (st, u, cos_phi, sin_phi), w = _grid_factors(resolution, mode)
+    x, y = np.outer(st, cos_phi).ravel(), np.outer(st, sin_phi).ravel()
+    return np.stack([x, y, np.repeat(u, cos_phi.size)], axis=-1), w
 
 
 def ggx_ndf(cos_h, alpha):
@@ -222,19 +215,6 @@ def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
     return float(d * g * f / (4.0 * cos_v * cos_l))
 
 
-def _mu_for(env: SgEnvironment, pixel):
-    if env.visibility is None:
-        if pixel is not None:
-            raise ValueError("environment has no per-pixel visibility")
-        return None
-    if pixel is None:
-        raise ValueError("pixel index required with per-pixel visibility")
-    mu = np.asarray(env.visibility[pixel], dtype=np.float64)
-    if mu.shape != (env.num_lobes,):
-        raise ValueError("pixel index must select one visibility row")
-    return mu
-
-
 def shading(
     env: SgEnvironment,
     normal,
@@ -245,17 +225,52 @@ def shading(
     """Cosine-weighted irradiance integral S = int L(l) max(n.l, 0) dl."""
     n = _as_unit(normal)
     local, w = hemisphere_grid(resolution, mode)
-    dirs = _world_dirs(local, n)
-    radiance = mixture_radiance(env, dirs, _mu_for(env, pixel))
+    t, b = onb(n)
+    dirs = local[:, 0:1] * t + local[:, 1:2] * b + local[:, 2:3] * n
+    radiance = mixture_radiance(env, dirs, _pixel_visibility(env, pixel))
     return np.einsum("mc,m,m->c", radiance, w, local[:, 2])
 
 
-def _shading_batch(env, normals, mu_rows, resolution, mode):
-    """shading() over flattened pixels; mu_rows is (P, S) or None."""
-    local, w = hemisphere_grid(resolution, mode)
-    dirs = _world_dirs(local, normals)  # (P, M, 3)
-    radiance = mixture_radiance(env, dirs, mu_rows[:, None, :] if mu_rows is not None else None)
-    return np.einsum("pmc,m,m->pc", radiance, w, local[:, 2])
+def _grid_dot(coef, grid, offset):
+    """coef . l + offset at every node l of grid: (p, 3), (p,) -> (p, M).
+
+    Node (i, j) is l = (st_i cos phi_j, st_i sin phi_j, u_i), so this is
+    st_i ring[p, j] + band[p, i], two element-wise passes over (p, M).
+    No BLAS, so a pixel's bytes never depend on its chunk's other pixels.
+    """
+    st, u, cos_phi, sin_phi = grid
+    ring = np.multiply.outer(coef[:, 0], cos_phi) + np.multiply.outer(coef[:, 1], sin_phi)
+    band = np.multiply.outer(coef[:, 2], u) + np.reshape(offset, (-1, 1))
+    out = ring[:, None, :] * st[:, None]
+    out += band[:, :, None]
+    return out.reshape(len(coef), -1)
+
+
+def _shade(env, g, pixels, grid, kernel):
+    """sum_s I_s mu_s sum_m e_s(p, m) k(p, m) over the flat pixel indices.
+
+    e_s = exp(lambda_s (a_s . l - 1)) at node l = x t + y b + z n of the
+    pixel's frame (t, b, n), from the coefficients lambda_s a_s . (t, b, n).
+    kernel(rows, frame) gives the weights k, (p, M) or (M,), of
+    pixels[rows] with frame (p, 3, 3). CHUNK_NODES bounds memory.
+    """
+    normals = g.normal.reshape(-1, 3)[pixels]
+    mu = _visibility_rows(env, g.shape)
+    m = grid[0].size * grid[2].size
+    step = max(1, CHUNK_NODES // m)
+    out = np.zeros((len(normals), 3))
+    for start in range(0, len(normals), step):
+        rows = slice(start, start + step)
+        frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
+        k = np.broadcast_to(kernel(rows, frame), (len(frame), m))
+        for s, lobe in enumerate(env.lobes):
+            lam = lobe.sharpness
+            e = _grid_dot(lam * np.einsum("pjk,k->pj", frame, lobe.axis), grid, -lam)
+            c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
+            if mu is not None:
+                c *= mu[pixels[rows], s]
+            out[rows] += c[:, None] * lobe.intensity
+    return out
 
 
 def _visibility_rows(env: SgEnvironment, shape):
@@ -266,13 +281,24 @@ def _visibility_rows(env: SgEnvironment, shape):
     return env.visibility.reshape(-1, env.num_lobes)
 
 
+def _view_dirs(g: GBuffer, cam, band=slice(None)):
+    """Unit directions from the surface to the camera, (rows of band, W, 3)."""
+    h, w = g.shape
+    if (cam.height, cam.width) != (h, w):
+        raise ValueError(f"gbuffer is {w}x{h} but the camera is {cam.width}x{cam.height}")
+    jj, ii = np.meshgrid(np.arange(w), np.arange(h)[band], indexing="xy")
+    v = cam.center - cam.unproject(jj + 0.5, ii + 0.5, g.depth[band])
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def render_diffuse(
     g: GBuffer, env: SgEnvironment, resolution=(32, 64), mode: str = "equal_area"
 ) -> HdrImage:
     """Diffuse image I_d = (A / pi) * S per pixel."""
     h, w = g.shape
-    normals = g.normal.reshape(-1, 3)
-    s = _shading_batch(env, normals, _visibility_rows(env, g.shape), resolution, mode)
+    grid, wq = _grid_factors(resolution, mode)
+    wz = wq * np.repeat(grid[1], grid[2].size)
+    s = _shade(env, g, np.arange(h * w), grid, lambda rows, frame: wz)
     return HdrImage((g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3))
 
 
@@ -287,53 +313,46 @@ def render_specular(
 ) -> HdrImage:
     """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
 
-    cam provides the view ray per pixel (its unproject method and center).
-    Backfacing pixels (n.v <= 0) render black. rows restricts the
-    computation to a horizontal band (used by the threaded CLI path).
+    cam provides the view ray per pixel (its unproject method and center)
+    and must match the G-buffer's size. Backfacing pixels (n.v <= 0)
+    render black. rows, a slice of image rows, shades only that band: its
+    rows get the bytes of a full render and all other rows are 0 (the
+    threaded CLI path).
     """
     if np.any(g.roughness <= 0.0):
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
     h, w = g.shape
     band = rows if rows is not None else slice(0, h)
-    hh = len(range(*band.indices(h)))
-    # jj, ii have shape (hh, w): jj[r, c] = c, ii[r, c] = absolute row
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h)[band], indexing="xy")
-    points = cam.unproject(jj + 0.5, ii + 0.5, g.depth[band])
-    v = cam.center - points
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    pixels = np.arange(h * w).reshape(h, w)[band].reshape(-1)
+    v = _view_dirs(g, cam, band).reshape(-1, 3)
+    cos_v = np.einsum("pk,pk->p", g.normal.reshape(-1, 3)[pixels], v)
+    front = cos_v > 0.0  # backfacing pixels stay black
+    pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
+    alpha = g.roughness.reshape(-1)[pixels, None] ** 2
+    grid, wq = _grid_factors(resolution, mode)
+    cos_l = np.repeat(grid[1], grid[2].size)  # n.l in the local frame
 
-    normals = g.normal[band].reshape(-1, 3)
-    rough = g.roughness[band].reshape(-1)
-    v = v.reshape(-1, 3)
-    local, wq = hemisphere_grid(resolution, mode)
-    dirs = _world_dirs(local, normals)  # (P, M, 3)
-    mu_rows = _visibility_rows(env, g.shape)
-    if mu_rows is not None:
-        mu_rows = mu_rows.reshape(h, w, -1)[band].reshape(-1, env.num_lobes)
-    radiance = mixture_radiance(
-        env, dirs, mu_rows[:, None, :] if mu_rows is not None else None
-    )
+    def kernel(rows, frame):
+        vr, cv, a = v[rows], cos_v[rows], alpha[rows]
+        # v + l by world axis k, (t_k, b_k, n_k) . l + v_k. At grazing views
+        # v.l nears -1: v.v + 2 v.l + |l|^2 would cancel, and GGX would
+        # amplify separate roundings of n.v + n.l and |v + l|; n . (v + l)
+        # over |v + l| from the same components is flat near n.h = 1.
+        hk = [_grid_dot(frame[:, :, k], grid, vr[:, k]) for k in range(3)]
+        hn = np.sqrt(hk[0] * hk[0] + hk[1] * hk[1] + hk[2] * hk[2])
+        hn = np.where(hn > 1e-12, hn, 1.0)
+        n = frame[:, 2]
+        nh = (n[:, 0:1] * hk[0] + n[:, 1:2] * hk[1] + n[:, 2:3] * hk[2]) / hn
+        # v.h = (v.v + v.l) / |v + l|; Fresnel barely feels its rounding
+        vh = _grid_dot(np.einsum("pjk,pk->pj", frame, vr), grid,
+                       np.einsum("pk,pk->p", vr, vr)) / hn
+        # B * (n.l) with the cosine cancelled against the denominator
+        return (ggx_ndf(np.clip(nh, 0.0, 1.0), a) * smith_g2(cv, cos_l, a)
+                * schlick_fresnel(vh, f0) / (4.0 * cv) * wq)
 
-    cos_l = local[:, 2]  # n.l in the local frame
-    cos_v = np.einsum("pk,pk->p", normals, v)
-    alpha = (rough * rough)[:, None]
-    hvec = v[:, None, :] + dirs
-    hnorm = np.linalg.norm(hvec, axis=-1)
-    safe = np.where(hnorm > 1e-12, hnorm, 1.0)
-    hvec = hvec / safe[..., None]
-    cos_h = np.clip(np.einsum("pk,pmk->pm", normals, hvec), 0.0, 1.0)
-    cos_vh = np.clip(np.einsum("pk,pmk->pm", v, hvec), 0.0, 1.0)
-    d = ggx_ndf(cos_h, alpha)
-    g2 = smith_g2(cos_v[:, None], cos_l[None, :], alpha)
-    fr = schlick_fresnel(cos_vh, f0)
-    # B * (n.l) with the cosine cancelled against the denominator
-    front = cos_v > 0.0
-    denom = np.where(front, 4.0 * cos_v, 1.0)[:, None]
-    kernel = np.where(front[:, None], d * g2 * fr / denom, 0.0)
-    out = np.einsum("pmc,pm,m->pc", radiance, kernel, wq)
-    img = np.zeros((h, w, 3))
-    img[band] = out.reshape(hh, w, 3)
-    return HdrImage(img)
+    img = np.zeros((h * w, 3))
+    img[pixels] = _shade(env, g, pixels, grid, kernel)
+    return HdrImage(img.reshape(h, w, 3))
 
 
 def spec_encode(
@@ -405,10 +424,7 @@ def mc_render_specular(
     if np.any(g.roughness <= 0.0):
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
     h, w = g.shape
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h), indexing="xy")
-    points = cam.unproject(jj + 0.5, ii + 0.5, g.depth)
-    views = cam.center - points
-    views /= np.linalg.norm(views, axis=-1, keepdims=True)
+    views = _view_dirs(g, cam)
     mu_all = _visibility_rows(env, g.shape)
     img = np.zeros((h, w, 3))
     for p in range(h * w):

@@ -3,8 +3,8 @@
 Subcommands: fit, render, vsg-trace, bench-order, reproject, metrics.
 Every command exits 0 on success; failures print one line of the form
 "error: <message>" to stderr and exit nonzero (2 for usage problems).
-Outputs are byte-identical across reruns for a fixed seed, except the
-measured seconds column of bench-order.
+Outputs are byte-identical across reruns (for bench-order, at a fixed
+--seed), except the measured seconds column of bench-order.
 """
 
 from __future__ import annotations
@@ -54,13 +54,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--lobes", type=int, default=3)
     p.add_argument("--out", required=True, help="output lobe text file")
     p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("render", help="render a scene's gbuffer under SG lighting")
     p.add_argument("scene")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("vsg-trace", help="ray march a volume in one operation order")
@@ -68,8 +65,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", choices=("before", "after"), required=True)
     p.add_argument("--nr", type=int, default=128, help="samples per ray")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("bench-order", help="time both compositing orders")
     p.add_argument("scene")
@@ -77,23 +72,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--nr-sweep", default="8,32,128", help="comma-separated n_r values")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("reproject", help="cross-view consistency maps for a target view")
     p.add_argument("scene")
     p.add_argument("--target", type=int, required=True, help="target view index")
     p.add_argument("--out", nargs=3, required=True,
                    metavar=("E_PFM", "W_PFM", "M_TXT"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("metrics", help="compare two PFM images")
     p.add_argument("a", help="prediction image")
     p.add_argument("b", help="reference image (read but unused for g6)")
     p.add_argument("--mask", default=None, help="grayscale PFM, nonzero keeps")
     p.add_argument("--metric", choices=sorted(METRICS), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -115,8 +105,7 @@ def _cmd_fit(args) -> int:
         raise CliError("fit target must be a 3-channel PFM")
     result = fit_sg(
         EnvironmentMap(np.asarray(data, dtype=np.float64)),
-        FitConfig(num_lobes=args.lobes, max_iterations=args.max_iterations,
-                  seed=args.seed),
+        FitConfig(num_lobes=args.lobes, max_iterations=args.max_iterations),
     )
     lines = []
     for lobe in result.environment.lobes:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sg import SgEnvironment, mixture_radiance, spherical_to_unit
+from .sg import SgEnvironment, _pixel_visibility, mixture_radiance, spherical_to_unit
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,8 @@ def decode_env(
     pixel selects the visibility row when the environment is per-pixel,
     exactly as in eval_mixture.
     """
-    dirs = grid_directions(rows, cols)
-    if env.visibility is None:
-        if pixel is not None:
-            raise ValueError("environment has no per-pixel visibility")
-        mu = None
-    else:
-        if pixel is None:
-            raise ValueError("pixel index required with per-pixel visibility")
-        mu = np.asarray(env.visibility[pixel], dtype=np.float64)
-        if mu.shape != (env.num_lobes,):
-            raise ValueError("pixel index must select one visibility row")
-    return EnvironmentMap(mixture_radiance(env, dirs, mu))
+    mu = _pixel_visibility(env, pixel)
+    return EnvironmentMap(mixture_radiance(env, grid_directions(rows, cols), mu))
 
 
 def hdr_forward(x) -> np.ndarray:

@@ -36,7 +36,8 @@ class CameraView:
 
     rotation (3, 3) must be orthonormal with determinant 1 (tolerance
     1e-6); p_cam = rotation @ p_world + translation. Optional per-view
-    image (H, W, 3), depth (H, W, ray distance), confidence (H, W).
+    image (H, W, 3), depth (H, W, ray distance), confidence (H, W), with
+    (H, W) = (height, width).
     """
 
     fx: float
@@ -71,7 +72,11 @@ class CameraView:
         for name in ("image", "depth", "confidence"):
             arr = getattr(self, name)
             if arr is not None:
-                object.__setattr__(self, name, np.array(arr, dtype=np.float64))
+                arr = np.array(arr, dtype=np.float64)
+                shape = (self.height, self.width) + ((3,) if name == "image" else ())
+                if arr.shape != shape:
+                    raise ValueError(f"camera {name} map is {arr.shape}, not {shape}")
+                object.__setattr__(self, name, arr)
 
     @property
     def center(self) -> np.ndarray:

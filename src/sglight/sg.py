@@ -156,6 +156,20 @@ def eval_sg(lobe: SphericalGaussian, direction) -> np.ndarray:
     return sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, d)
 
 
+def _pixel_visibility(env: SgEnvironment, pixel=None):
+    """The (S,) visibility row pixel selects (see eval_mixture), or None."""
+    if env.visibility is None:
+        if pixel is not None:
+            raise ValueError("environment has no per-pixel visibility")
+        return None
+    if pixel is None:
+        raise ValueError("pixel index required with per-pixel visibility")
+    mu = np.asarray(env.visibility[pixel], dtype=np.float64)
+    if mu.shape != (env.num_lobes,):
+        raise ValueError("pixel index must select one visibility row")
+    return mu
+
+
 def eval_mixture(env: SgEnvironment, direction, pixel=None) -> np.ndarray:
     """Evaluate the mixture, applying pixel visibility when present.
 
@@ -163,21 +177,7 @@ def eval_mixture(env: SgEnvironment, direction, pixel=None) -> np.ndarray:
     required when the environment carries visibility and must be omitted
     otherwise. Absent visibility means every factor is 1.
     """
-    d = as_direction(direction)
-    if env.visibility is None:
-        if pixel is not None:
-            raise ValueError("environment has no per-pixel visibility")
-        mu = np.ones(env.num_lobes)
-    else:
-        if pixel is None:
-            raise ValueError("pixel index required with per-pixel visibility")
-        mu = np.asarray(env.visibility[pixel], dtype=np.float64)
-        if mu.shape != (env.num_lobes,):
-            raise ValueError("pixel index must select one visibility row")
-    out = np.zeros(d.shape[:-1] + (3,))
-    for s, lobe in enumerate(env.lobes):
-        out += mu[s] * sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, d)
-    return out
+    return mixture_radiance(env, as_direction(direction), _pixel_visibility(env, pixel))
 
 
 def mixture_radiance(env: SgEnvironment, dirs, mu=None) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Microfacet BRDF terms, shading integrals, and the specular renderers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sglight import brdf
 from sglight.brdf import (
     F0_DEFAULT,
     GBuffer,
@@ -22,7 +25,10 @@ from sglight.brdf import (
     spec_encode,
     specular_brdf,
 )
+from sglight.cli import main
 from sglight.multiview import CameraView
+from sglight.pfm import write_pfm
+from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
 
 
@@ -60,6 +66,101 @@ def wall_camera(size=4, fx=20.0, plane_z=2.0):
 def constant_env(value):
     lobe = SphericalGaussian([0.0, 0.0, 1.0], 0.0, [value] * 3)
     return SgEnvironment((lobe,))
+
+
+def random_scene(height, width, seed=0, lobes=4):
+    """Camera, G-buffer and lit environment with per-pixel visibility.
+
+    Stored as float32 like scene files: normals are unit only to about
+    1e-7. Roughness is U(0.2, 0.9); about 10% of normals face away from
+    the camera.
+    """
+    rng = np.random.default_rng(seed)
+    f32 = lambda a: np.asarray(a, dtype=np.float32).astype(np.float64)
+    cam = CameraView(
+        fx=0.9 * width, fy=0.9 * width, cx=width / 2.0, cy=height / 2.0,
+        rotation=np.eye(3), translation=np.zeros(3), width=width, height=height,
+    )
+    depth = f32(rng.uniform(2.0, 4.0, size=(height, width)))
+    jj, ii = np.meshgrid(np.arange(width), np.arange(height), indexing="xy")
+    view = cam.center - cam.unproject(jj + 0.5, ii + 0.5, depth)
+    view /= np.linalg.norm(view, axis=-1, keepdims=True)
+    back = rng.random((height, width)) < 0.1
+    normal = normalize(np.where(back[..., None], -view, view)
+                       + 0.7 * rng.normal(size=(height, width, 3)))
+    # put each pixel on the side of its horizon that back picked
+    flip = (np.sum(normal * view, axis=-1) > 0.0) == back
+    normal = f32(np.where(flip[..., None], -normal, normal))
+    g = GBuffer(
+        albedo=f32(rng.uniform(0.1, 0.9, size=(height, width, 3))),
+        roughness=f32(rng.uniform(0.2, 0.9, size=(height, width))),
+        normal=normal,
+        depth=depth,
+    )
+    sg = tuple(
+        SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(1.0, 25.0),
+                          rng.uniform(0.2, 2.0, size=3))
+        for _ in range(lobes)
+    )
+    vis = rng.uniform(0.0, 1.0, size=(height, width, lobes))
+    return cam, g, SgEnvironment(sg, visibility=vis)
+
+
+def reference_render(g, env, cam, resolution, mode):
+    """Per-pixel world-frame diffuse and specular images: rotate the grid
+    into each pixel's frame and evaluate lobes and GGX on 3-vectors."""
+    local, wq = hemisphere_grid(resolution, mode)
+    h, w = g.shape
+    diffuse, specular = np.zeros((h, w, 3)), np.zeros((h, w, 3))
+    for i in range(h):
+        for j in range(w):
+            n = g.normal[i, j]
+            t, b = onb(n)
+            dirs = local[:, 0:1] * t + local[:, 1:2] * b + local[:, 2:3] * n
+            radiance = sum(
+                mu * lobe.intensity
+                * np.exp(lobe.sharpness * (dirs @ lobe.axis - 1.0))[:, None]
+                for mu, lobe in zip(env.visibility[i, j], env.lobes)
+            )
+            diffuse[i, j] = g.albedo[i, j] / np.pi * (radiance.T @ (wq * local[:, 2]))
+            p = cam.unproject(np.array(j + 0.5), np.array(i + 0.5), g.depth[i, j])
+            v = normalize(cam.center - p)
+            cos_v = n @ v
+            if cos_v <= 0.0:
+                continue
+            alpha = g.roughness[i, j] ** 2
+            hvec = v + dirs
+            hnorm = np.linalg.norm(hvec, axis=-1)
+            hvec /= np.where(hnorm > 1e-12, hnorm, 1.0)[:, None]
+            kernel = (ggx_ndf(np.clip(hvec @ n, 0.0, 1.0), alpha)
+                      * smith_g2(cos_v, local[:, 2], alpha)
+                      * schlick_fresnel(hvec @ v) / (4.0 * cos_v))
+            specular[i, j] = radiance.T @ (kernel * wq)
+    return diffuse, specular
+
+
+def write_scene(dirpath, cam, g, env, quadrature):
+    """Write a scene file (and its float32 maps) for a random_scene."""
+    for name, arr in (("albedo", g.albedo), ("rough", g.roughness),
+                      ("normal", g.normal), ("depth", g.depth)):
+        write_pfm(dirpath / f"{name}.pfm", arr.astype(np.float32))
+    lobes = "".join(
+        "sg: " + " ".join(repr(float(x)) for x in (*lobe.axis, lobe.sharpness,
+                                                   *lobe.intensity)) + "\n"
+        for lobe in env.lobes
+    )
+    path = dirpath / "scene.txt"
+    path.write_text(
+        "sgscene 1\n[camera.0]\n"
+        f"intrinsics: {cam.fx!r} {cam.fy!r} {cam.cx!r} {cam.cy!r}\n"
+        "pose: 1 0 0 0\npose: 0 1 0 0\npose: 0 0 1 0\n"
+        f"size: {cam.width} {cam.height}\n"
+        "[gbuffer]\nalbedo: albedo.pfm\nroughness: rough.pfm\n"
+        "normal: normal.pfm\ndepth: depth.pfm\n[lighting]\n" + lobes
+        + f"[render]\nresolution: {cam.width} {cam.height}\n"
+        f"quadrature: {quadrature[0]} {quadrature[1]}\n"
+    )
+    return path
 
 
 class TestMicrofacetTerms:
@@ -280,6 +381,80 @@ class TestRenderers:
         c = mc_render_specular(g, env, cam, n_samples=500, seed=4)
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
+
+
+class TestChunkedRenderers:
+    """The chunked frame-coefficient renderers against the per-pixel
+    world-frame formulation, their determinism, and their memory."""
+
+    # seed 2 holds a grazing view whose half vectors the identity
+    # n.h = (n.v + n.l) / |v + l| resolves only to about 1e-11
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("mode", ["equal_area", "uniform"])
+    def test_matches_world_frame_reference(self, mode, seed):
+        cam, g, env = random_scene(9, 7, seed=seed)
+        resolution = (12, 24)
+        ref_d, ref_s = reference_render(g, env, cam, resolution, mode)
+        diffuse = render_diffuse(g, env, resolution, mode).data
+        specular = render_specular(g, env, cam, resolution, mode).data
+        back = np.all(ref_s == 0.0, axis=-1)  # the reference skips n.v <= 0
+        assert 2 <= back.sum() <= 15
+        for ref, got in ((ref_d, diffuse), (ref_s, specular)):
+            nz = ref != 0.0
+            np.testing.assert_array_equal(got[~nz], 0.0)
+            np.testing.assert_allclose(got[nz], ref[nz], rtol=1e-12, atol=0.0)
+
+    def test_bytes_independent_of_bands_threads_and_chunking(self, tmp_path, monkeypatch):
+        resolution = (4, 8)
+        m = resolution[0] * resolution[1]
+        # 2.5 chunks of pixels: three chunks for each renderer, also for
+        # specular, which shades only the ~90% front-facing pixels
+        size = int(np.sqrt(2.5 * brdf.CHUNK_NODES / m)) + 1
+        cam, g, env = random_scene(size, size, seed=5, lobes=3)
+        env = SgEnvironment(env.lobes)  # scene files carry no visibility
+        scene = write_scene(tmp_path, cam, g, env, resolution)
+        g = parse_scene(scene).gbuffer
+        plain_d = render_diffuse(g, env, resolution).data
+        plain_s = render_specular(g, env, cam, resolution).data
+        assert plain_s.any() and (plain_s == 0.0).any()
+        for band in [slice(r, r + 1) for r in range(size)] + [slice(0, 7), slice(7, size)]:
+            got = render_specular(g, env, cam, resolution, rows=band).data
+            assert got[band].tobytes() == plain_s[band].tobytes(), band
+        assert main(["render", str(scene), "--out-prefix", str(tmp_path / "t1")]) == 0
+        assert main(["render", str(scene), "--out-prefix", str(tmp_path / "t3"),
+                     "--threads", "3"]) == 0
+        monkeypatch.setattr(brdf, "CHUNK_NODES", 7 * m + 5)  # 7-pixel chunks
+        assert render_diffuse(g, env, resolution).data.tobytes() == plain_d.tobytes()
+        assert render_specular(g, env, cam, resolution).data.tobytes() == plain_s.tobytes()
+        assert main(["render", str(scene), "--out-prefix", str(tmp_path / "c7")]) == 0
+        for kind, img in (("diffuse", plain_d), ("specular", plain_s),
+                          ("full", plain_d + plain_s)):
+            write_pfm(tmp_path / f"lib_{kind}.pfm", img.astype(np.float32))
+            expected = (tmp_path / f"lib_{kind}.pfm").read_bytes()
+            for prefix in ("t1", "t3", "c7"):
+                assert (tmp_path / f"{prefix}_{kind}.pfm").read_bytes() == expected, (
+                    prefix, kind)
+
+    @pytest.mark.parametrize("renderer", ["diffuse", "specular"])
+    def test_peak_memory_bounded(self, renderer):
+        cam, g, env = random_scene(128, 128, seed=9)
+        tracemalloc.start()
+        try:
+            if renderer == "diffuse":
+                render_diffuse(g, env, resolution=(16, 32))
+            else:
+                render_specular(g, env, cam, resolution=(16, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, peak
+
+    def test_specular_rejects_camera_size_mismatch(self):
+        cam, g = wall_camera(size=4)
+        small = CameraView(fx=20.0, fy=20.0, cx=2.0, cy=2.0, rotation=np.eye(3),
+                           translation=np.zeros(3), width=4, height=3)
+        with pytest.raises(ValueError, match="camera"):
+            render_specular(g, constant_env(1.0), small)
 
 
 class TestSpecEncode:

@@ -164,6 +164,17 @@ class TestRender:
             b = (tmp_path / f"b_{kind}.pfm").read_bytes()
             assert a == b, kind
 
+    def test_camera_size_mismatch_fails(self, tmp_path, capsys):
+        """A 4x4 G-buffer seen by a 5x5 camera is an error, not a render."""
+        scene = write_wall_scene(tmp_path)
+        scene.write_text(scene.read_text().replace("size: 4 4", "size: 5 5"))
+        rc = main(["render", str(scene), "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "camera" in err
+        assert not (tmp_path / "x_specular.pfm").exists()
+
     def test_missing_lighting_fails(self, tmp_path, capsys):
         write_gbuffer(tmp_path)
         scene = tmp_path / "scene.txt"
@@ -273,6 +284,19 @@ class TestReproject:
         assert rc == 1
         assert "two cameras" in capsys.readouterr().err
 
+    def test_depth_map_size_mismatch_fails(self, tmp_path, capsys):
+        """A camera whose size disagrees with its depth map is rejected."""
+        scene = write_pair_scene(tmp_path)
+        scene.write_text(scene.read_text().replace("size: 4 4", "size: 9 7", 1))
+        rc = main(["reproject", str(scene), "--target", "0", "--out",
+                   str(tmp_path / "e.pfm"), str(tmp_path / "w.pfm"),
+                   str(tmp_path / "m.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "depth" in err
+        assert not (tmp_path / "e.pfm").exists()
+
 
 class TestMetrics:
     def test_identical_images_zero(self, tmp_path, capsys):
@@ -353,6 +377,23 @@ class TestEntryPoints:
             main(["metrics", "a.pfm", "b.pfm", "--metric", "g9"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "t.pfm", "--out", "o.txt", "--seed", "1"],
+        ["fit", "t.pfm", "--out", "o.txt", "--threads", "2"],
+        ["render", "s.txt", "--out-prefix", "o", "--seed", "1"],
+        ["vsg-trace", "s.txt", "--order", "before", "--out", "o.pfm", "--threads", "2"],
+        ["bench-order", "s.txt", "--out", "o.csv", "--threads", "2"],
+        ["reproject", "s.txt", "--target", "0", "--out", "e", "w", "m", "--seed", "1"],
+        ["metrics", "a.pfm", "b.pfm", "--metric", "g2", "--threads", "2"],
+    ])
+    def test_flags_nothing_reads_are_usage_errors(self, argv, capsys):
+        """--threads belongs to render and --seed to bench-order only."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

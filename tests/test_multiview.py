@@ -74,6 +74,19 @@ class TestCamera:
         np.testing.assert_allclose(np.linalg.norm(p - cam.center), 3.0)
 
 
+class TestCameraMaps:
+    def test_maps_must_match_size(self):
+        cam = dict(fx=4.0, fy=4.0, cx=2.0, cy=1.5, rotation=np.eye(3),
+                   translation=np.zeros(3), width=4, height=3)
+        CameraView(**cam, image=np.zeros((3, 4, 3)), depth=np.ones((3, 4)),
+                   confidence=np.ones((3, 4)))
+        for name, arr in (("image", np.zeros((4, 3, 3))), ("image", np.zeros((3, 4))),
+                          ("depth", np.ones((4, 3))), ("depth", np.ones((3, 4, 1))),
+                          ("confidence", np.ones((3, 5)))):
+            with pytest.raises(ValueError, match=name):
+                CameraView(**cam, **{name: arr})
+
+
 class TestBilinear:
     def test_exact_at_pixel_centers(self):
         rng = np.random.default_rng(42)
