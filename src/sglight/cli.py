@@ -107,14 +107,8 @@ def _cmd_fit(args) -> int:
         EnvironmentMap(np.asarray(data, dtype=np.float64)),
         FitConfig(num_lobes=args.lobes, max_iterations=args.max_iterations),
     )
-    lines = []
-    for lobe in result.environment.lobes:
-        a = lobe.axis
-        i = lobe.intensity
-        lines.append(
-            f"{a[0]:.17g} {a[1]:.17g} {a[2]:.17g} {lobe.sharpness:.17g} "
-            f"{i[0]:.17g} {i[1]:.17g} {i[2]:.17g}"
-        )
+    # one line per packed lobe row: ax ay az sharpness ir ig ib
+    lines = [" ".join(f"{v:.17g}" for v in row) for row in result.environment.packed]
     lines.append(
         f"# loss={result.final_loss:.17g} iterations={result.iterations} "
         f"converged={int(result.converged)}"

@@ -11,7 +11,7 @@ per-pixel visibility factors in [0, 1]. All radiance is linear HDR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,10 +110,14 @@ class SgEnvironment:
     visibility, when present, has shape (..., S) and is clamped to [0, 1]
     at construction. The leading axes index pixels; eval_mixture selects a
     pixel's factors with a plain numpy index.
+
+    packed is the read-only (S, 7) lobe array built at construction, one
+    row per lobe with columns ax ay az sharpness ir ig ib.
     """
 
     lobes: tuple
     visibility: Optional[np.ndarray] = None
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lobes = tuple(self.lobes)
@@ -123,6 +127,9 @@ class SgEnvironment:
             if not isinstance(lobe, SphericalGaussian):
                 raise TypeError("lobes must be SphericalGaussian instances")
         object.__setattr__(self, "lobes", lobes)
+        packed = np.array([[*g.axis, g.sharpness, *g.intensity] for g in lobes])
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
         if self.visibility is not None:
             vis = np.asarray(self.visibility, dtype=np.float64)
             if vis.shape[-1] != len(lobes):
@@ -137,17 +144,22 @@ class SgEnvironment:
         return len(self.lobes)
 
 
-def sg_radiance(intensity, sharpness, axis, dirs) -> np.ndarray:
-    """Raw lobe formula, no validation, broadcasting over leading axes.
+def lobe_values(axis, sharpness, dirs) -> np.ndarray:
+    """The unit-intensity lobe exp(sharpness * (dot(dirs, axis) - 1)).
 
-    Used internally where the axis is intentionally not unit length
-    (aggregated compositing). dirs has shape (..., 3); the result
-    broadcasts intensity over exp(sharpness * (dot(dirs, axis) - 1)).
+    The one lobe kernel under mixtures, fitting and volume compositing.
+    No validation: the axis need not be unit length (aggregated
+    compositing). axis (..., 3), sharpness (...) and dirs (..., 3)
+    broadcast over their leading axes, so dirs[..., None, :] against
+    (S, 3) axes gives every lobe at every direction, (..., S).
     """
-    dot = np.sum(np.asarray(dirs, dtype=np.float64) * axis, axis=-1)
-    return np.asarray(intensity, dtype=np.float64) * np.exp(
-        np.asarray(sharpness, dtype=np.float64) * (dot - 1.0)
-    )[..., None]
+    dot = np.einsum("...k,...k->...", np.asarray(dirs, dtype=np.float64), axis)
+    return np.exp(np.asarray(sharpness, dtype=np.float64) * (dot - 1.0))
+
+
+def sg_radiance(intensity, sharpness, axis, dirs) -> np.ndarray:
+    """Raw RGB lobe value, intensity * lobe_values(...), shape (..., 3)."""
+    return np.asarray(intensity, dtype=np.float64) * lobe_values(axis, sharpness, dirs)[..., None]
 
 
 def eval_sg(lobe: SphericalGaussian, direction) -> np.ndarray:
@@ -186,14 +198,11 @@ def mixture_radiance(env: SgEnvironment, dirs, mu=None) -> np.ndarray:
     mu, when given, holds per-lobe visibility factors of shape (S,) or
     broadcastable against the leading axes as (..., S).
     """
-    dirs = np.asarray(dirs, dtype=np.float64)
-    out = np.zeros(dirs.shape[:-1] + (3,))
-    for s, lobe in enumerate(env.lobes):
-        term = sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, dirs)
-        if mu is not None:
-            term = term * np.asarray(mu)[..., s, None]
-        out += term
-    return out
+    lobes = env.packed
+    e = lobe_values(lobes[:, :3], lobes[:, 3], np.asarray(dirs, dtype=np.float64)[..., None, :])
+    if mu is not None:
+        e = e * mu
+    return e @ lobes[:, 4:7]
 
 
 def integrate_sg_sphere(lobe: SphericalGaussian) -> np.ndarray:

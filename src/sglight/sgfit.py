@@ -21,9 +21,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, lsq_linear
 
 from .envmap import EnvironmentMap, grid_directions, solid_angle_weights
-from .sg import SgEnvironment, SphericalGaussian, spherical_to_unit, unit_to_spherical
+from .sg import (
+    SgEnvironment,
+    SphericalGaussian,
+    as_direction,
+    lobe_values,
+    mixture_radiance,
+    sg_radiance,
+    spherical_to_unit,
+    unit_to_spherical,
+)
 
-# floor applied to intensities and sharpness before taking logs
+# floor applied to initial intensities before taking logs
 LOG_FLOOR = 1e-8
 
 
@@ -35,8 +44,6 @@ class FitConfig:
     step counts as converged. damping_* define the LM schedule: the
     damping factor starts at damping_init, multiplies by damping_growth
     after a rejected step and by damping_shrink after an accepted one.
-    The fit itself is deterministic; seed is kept for reproducibility
-    plumbing and future stochastic options.
     """
 
     num_lobes: int = 3
@@ -47,7 +54,6 @@ class FitConfig:
     damping_init: float = 1e-3
     damping_growth: float = 4.0
     damping_shrink: float = 0.25
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_lobes < 1:
@@ -67,6 +73,15 @@ class FitResult:
     loss_trace: tuple  # objective after each accepted step, monotone
 
 
+def _axis_partials(theta, phi):
+    """Partials of the axis spherical_to_unit(theta, phi) by theta and phi."""
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_phi = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    return d_theta, d_phi
+
+
 def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
     """Analytic partials of the lobe value G(l) per RGB channel.
 
@@ -77,38 +92,16 @@ def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
       "sharpness": (3,) dG/d sharpness = intensity * (l.axis - 1) * exp(...);
       "theta", "phi": (3,) partials through the axis angles.
     """
-    from .sg import as_direction
-
     l = as_direction(direction)
-    theta, phi = unit_to_spherical(lobe.axis)
-    dot = float(l @ lobe.axis)
-    e = np.exp(lobe.sharpness * (dot - 1.0))
+    d_theta, d_phi = _axis_partials(*unit_to_spherical(lobe.axis))
+    e = float(lobe_values(lobe.axis, lobe.sharpness, l))
     d_axis = lobe.sharpness * lobe.intensity * e  # common factor of axis partials
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    daxis_dtheta = np.array([ct * cp, ct * sp, -st])
-    daxis_dphi = np.array([-st * sp, st * cp, 0.0])
     return {
-        "intensity": float(e),
-        "sharpness": lobe.intensity * (dot - 1.0) * e,
-        "theta": d_axis * float(l @ daxis_dtheta),
-        "phi": d_axis * float(l @ daxis_dphi),
+        "intensity": e,
+        "sharpness": lobe.intensity * (float(l @ lobe.axis) - 1.0) * e,
+        "theta": d_axis * float(l @ d_theta),
+        "phi": d_axis * float(l @ d_phi),
     }
-
-
-def _params_from_env(env: SgEnvironment) -> np.ndarray:
-    rows = []
-    for lobe in env.lobes:
-        theta, phi = unit_to_spherical(lobe.axis)
-        rows.append(
-            np.concatenate(
-                [
-                    np.log(np.maximum(lobe.intensity, LOG_FLOOR)),
-                    [np.log(max(lobe.sharpness, LOG_FLOOR)), theta, phi],
-                ]
-            )
-        )
-    return np.stack(rows)
 
 
 def _env_from_params(p: np.ndarray) -> SgEnvironment:
@@ -122,47 +115,38 @@ def _env_from_params(p: np.ndarray) -> SgEnvironment:
 
 def _predict(p: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Mixture values at dirs (N, 3) for the parameter matrix (S, 6)."""
-    out = np.zeros((dirs.shape[0], 3))
-    for row in p:
-        axis = spherical_to_unit(row[4], row[5])
-        out += np.exp(row[0:3])[None, :] * np.exp(np.exp(row[3]) * (dirs @ axis - 1.0))[:, None]
-    return out
+    axis = spherical_to_unit(p[:, 4], p[:, 5])
+    return lobe_values(axis, np.exp(p[:, 3]), dirs[:, None, :]) @ np.exp(p[:, 0:3])
+
+
+def _residuals(pred, target, sqrt_w):
+    """Weighted log-domain residual vector (N*3,); objective is sum(r^2)."""
+    return ((np.log1p(pred) - np.log1p(target)) * sqrt_w[:, None]).reshape(-1)
 
 
 def _objective_parts(p, dirs, target, sqrt_w):
-    """Residual vector (N*3,) and prediction; objective is sum(r^2)."""
+    """Residual vector (N*3,) and prediction."""
     pred = _predict(p, dirs)
-    r = (np.log1p(pred) - np.log1p(target)) * sqrt_w[:, None]
-    return r.reshape(-1), pred
+    return _residuals(pred, target, sqrt_w), pred
 
 
 def _jacobian(p, dirs, pred, sqrt_w):
     """Analytic Jacobian of the residual vector, shape (N*3, S*6)."""
-    n = dirs.shape[0]
-    s = p.shape[0]
+    n, s = dirs.shape[0], p.shape[0]
+    sharp = np.exp(p[:, 3])
+    axis = spherical_to_unit(p[:, 4], p[:, 5])
+    d_theta, d_phi = _axis_partials(p[:, 4], p[:, 5])
+    e = lobe_values(axis, sharp, dirs[:, None, :])
+    value = e[:, None, :] * np.exp(p[:, 0:3]).T  # (N, 3, S) lobe contributions
     jac = np.zeros((n, 3, s, 6))
-    outer = (sqrt_w[:, None] / (1.0 + pred))  # chain rule through log1p
-    for si, row in enumerate(p):
-        intensity = np.exp(row[0:3])
-        sharp = np.exp(row[3])
-        theta, phi = row[4], row[5]
-        st, ct = np.sin(theta), np.cos(theta)
-        sp, cp = np.sin(phi), np.cos(phi)
-        axis = np.array([st * cp, st * sp, ct])
-        dot = dirs @ axis
-        e = np.exp(sharp * (dot - 1.0))
-        value = intensity[None, :] * e[:, None]  # lobe contribution per channel
-        # d/d log intensity_c: the channel's own contribution
-        for c in range(3):
-            jac[:, c, si, c] = value[:, c]
-        # d/d log sharpness = sharpness * (dot - 1) * value
-        jac[:, :, si, 3] = (sharp * (dot - 1.0))[:, None] * value
-        # axis angles through dot
-        dth = dirs @ np.array([ct * cp, ct * sp, -st])
-        dph = dirs @ np.array([-st * sp, st * cp, 0.0])
-        jac[:, :, si, 4] = (sharp * dth)[:, None] * value
-        jac[:, :, si, 5] = (sharp * dph)[:, None] * value
-    jac *= outer[:, :, None, None]
+    # d/d log intensity_c: the channel's own contribution
+    for c in range(3):
+        jac[:, c, :, c] = value[:, c]
+    # d/d log sharpness, theta, phi: value times the exponent's partial
+    slopes = (dirs @ axis.T - 1.0, dirs @ d_theta.T, dirs @ d_phi.T)
+    for k, slope in enumerate(slopes, start=3):
+        np.multiply(value, (sharp * slope)[:, None, :], out=jac[..., k])
+    jac *= (sqrt_w[:, None] / (1.0 + pred))[:, :, None, None]  # chain rule through log1p
     return jac.reshape(n * 3, s * 6)
 
 
@@ -180,11 +164,15 @@ def _greedy_init(target: np.ndarray, dirs_grid: np.ndarray, num_lobes: int) -> n
         rows.append(
             np.concatenate([np.log(intensity), [np.log(sharp), theta, phi]])
         )
-        contrib = intensity[None, None, :] * np.exp(
-            sharp * (dirs_grid @ axis - 1.0)
-        )[..., None]
-        residual = residual - contrib
+        residual = residual - sg_radiance(intensity, sharp, axis, dirs_grid)
     return np.stack(rows)
+
+
+def _grid(rows: int, cols: int):
+    """Flat cell directions (N, 3) and objective weights sqrt_w (N,)."""
+    weights = solid_angle_weights(rows, cols)
+    sqrt_w = np.sqrt(weights / (3.0 * weights.sum())).reshape(-1)
+    return grid_directions(rows, cols).reshape(-1, 3), sqrt_w
 
 
 def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult:
@@ -193,14 +181,10 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     Deterministic. The returned trace holds the objective after every
     accepted step (the initial objective first) and never increases.
     """
-    rows, cols = target.rows, target.cols
-    dirs_grid = grid_directions(rows, cols)
-    weights = solid_angle_weights(rows, cols)
-    sqrt_w = np.sqrt(weights / (3.0 * weights.sum())).reshape(-1)
-    dirs = dirs_grid.reshape(-1, 3)
+    dirs, sqrt_w = _grid(target.rows, target.cols)
     tgt = target.data.reshape(-1, 3)
 
-    p = _greedy_init(target.data, dirs_grid, config.num_lobes)
+    p = _greedy_init(target.data, dirs.reshape(target.data.shape), config.num_lobes)
     r, pred = _objective_parts(p, dirs, tgt, sqrt_w)
     loss = float(r @ r)
     trace = [loss]
@@ -212,6 +196,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
         jac = _jacobian(p, dirs, pred, sqrt_w)
         g = jac.T @ r
         h = jac.T @ jac
+        del jac  # so the next Jacobian is never built next to this one
         diag = np.diag(h).copy()
         diag[diag <= 0.0] = 1e-12
         accepted = False
@@ -255,13 +240,8 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
 
 def fit_objective(env: SgEnvironment, target: EnvironmentMap) -> float:
     """The exact objective fit_sg minimizes, for external comparisons."""
-    rows, cols = target.rows, target.cols
-    weights = solid_angle_weights(rows, cols)
-    sqrt_w = np.sqrt(weights / (3.0 * weights.sum())).reshape(-1)
-    dirs = grid_directions(rows, cols).reshape(-1, 3)
-    r, _ = _objective_parts(
-        _params_from_env(env), dirs, target.data.reshape(-1, 3), sqrt_w
-    )
+    dirs, sqrt_w = _grid(target.rows, target.cols)
+    r = _residuals(mixture_radiance(env, dirs), target.data.reshape(-1, 3), sqrt_w)
     return float(r @ r)
 
 
@@ -280,12 +260,10 @@ def fit_visibility(env: SgEnvironment, targets: np.ndarray) -> np.ndarray:
     dirs = grid_directions(rows, cols).reshape(-1, 3)
     sqrt_w = np.sqrt(solid_angle_weights(rows, cols)).reshape(-1)
     s = env.num_lobes
-    basis = np.zeros((rows * cols * 3, s))
-    for si, lobe in enumerate(env.lobes):
-        vals = lobe.intensity[None, :] * np.exp(
-            lobe.sharpness * (dirs @ lobe.axis - 1.0)
-        )[:, None]
-        basis[:, si] = (vals * sqrt_w[:, None]).reshape(-1)
+    lobes = env.packed
+    # column s holds lobe s's weighted RGB values, rows ordered (cell, channel)
+    e = lobe_values(lobes[:, :3], lobes[:, 3], dirs[:, None, :])
+    basis = (e[:, None, :] * lobes[:, 4:7].T * sqrt_w[:, None, None]).reshape(-1, s)
     lead = targets.shape[:-3]
     flat = targets.reshape((-1, rows * cols, 3))
     out = np.zeros((flat.shape[0], s))
@@ -298,8 +276,6 @@ def fit_visibility(env: SgEnvironment, targets: np.ndarray) -> np.ndarray:
 
 def match_lobes(fitted: SgEnvironment, reference: SgEnvironment):
     """Hungarian pairing of lobes by axis angle; list of (fit, ref) pairs."""
-    fa = np.stack([lobe.axis for lobe in fitted.lobes])
-    ra = np.stack([lobe.axis for lobe in reference.lobes])
-    cost = np.arccos(np.clip(fa @ ra.T, -1.0, 1.0))
+    cost = np.arccos(np.clip(fitted.packed[:, :3] @ reference.packed[:, :3].T, -1.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))

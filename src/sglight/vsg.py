@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from .sg import lobe_values, sg_radiance
+
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
 
@@ -40,8 +42,8 @@ class VsgVolume:
 
     def __post_init__(self):
         data = np.array(self.data, dtype=np.float64)
-        if data.ndim != 4 or data.shape[3] != 8:
-            raise ValueError("volume data must be (X, Y, Z, 8)")
+        if data.ndim != 4 or data.shape[3] != 8 or 0 in data.shape[:3]:
+            raise ValueError("volume data must be (X, Y, Z, 8) with X, Y, Z >= 1")
         if not np.all(np.isfinite(data)):
             raise ValueError("volume data must be finite")
         if np.any(data[..., 0] < 0.0) or np.any(data[..., 0] > 1.0):
@@ -209,8 +211,7 @@ def compositing_weights(alpha: np.ndarray) -> np.ndarray:
 def _composite_before(alpha, intensity, axis, sharpness, l):
     """Blend of per-sample lobe evaluations at -l. Batched over rays."""
     w = compositing_weights(alpha)
-    dot = np.einsum("...nk,...k->...n", axis, -np.asarray(l, dtype=np.float64))
-    g = np.exp(sharpness * (dot - 1.0))
+    g = lobe_values(axis, sharpness, -np.asarray(l, dtype=np.float64)[..., None, :])
     return np.einsum("...n,...n,...nc->...c", w, g, intensity)
 
 
@@ -220,8 +221,7 @@ def _composite_after(alpha, intensity, axis, sharpness, l):
     agg_int = np.einsum("...n,...nc->...c", w, intensity)
     agg_sharp = np.einsum("...n,...n->...", w, sharpness)
     agg_axis = np.einsum("...n,...nc->...c", w, axis)  # not renormalized
-    dot = np.einsum("...c,...c->...", agg_axis, -np.asarray(l, dtype=np.float64))
-    return agg_int * np.exp(agg_sharp * (dot - 1.0))[..., None]
+    return sg_radiance(agg_int, agg_sharp, agg_axis, -np.asarray(l, dtype=np.float64))
 
 
 def composite_sg_before(samples: RaySampleSet, l) -> np.ndarray:

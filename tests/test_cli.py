@@ -252,6 +252,25 @@ class TestBenchOrder:
         assert "nr-sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["vsg-trace", "--order", "before", "--out"],
+    ["bench-order", "--out"],
+])
+def test_zero_size_volume_is_clean_error(command, tmp_path, capsys):
+    """A .vsg with a zero dimension fails with one error line, no traceback."""
+    write_volume_scene(tmp_path)
+    (tmp_path / "vol.vsg").write_bytes(
+        b"VSG1\n0 4 4\n-1 -1 1 1 1 3\nalpha intensity axis sharpness\n"
+    )
+    name, *flags = command
+    rc = main([name, str(tmp_path / "vscene.txt"), *flags, str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line] == [err.strip()]
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestReproject:
     def test_outputs_match_library(self, tmp_path):
         scene_path = write_pair_scene(tmp_path, offset=0.3)

@@ -169,6 +169,15 @@ class TestMixture:
         d /= np.linalg.norm(d)
         total = sum(eval_sg(lobe, d) for lobe in lobes)
         np.testing.assert_allclose(eval_mixture(env, d), total, rtol=1e-14)
+        # a (4, 5, 3) batch of directions under one pixel's visibility row
+        batch = rng.normal(size=(4, 5, 3))
+        batch /= np.linalg.norm(batch, axis=-1, keepdims=True)
+        vis = rng.uniform(0.0, 1.0, size=(2, 3))
+        shadowed = SgEnvironment(tuple(lobes), visibility=vis)
+        total = sum(m * eval_sg(lobe, batch) for m, lobe in zip(vis[1], lobes))
+        got = eval_mixture(shadowed, batch, pixel=1)
+        assert got.shape == (4, 5, 3)
+        np.testing.assert_allclose(got, total, rtol=1e-14)
 
     def test_visibility_attenuates(self):
         """mu = 0.5 on one lobe halves exactly that contribution."""

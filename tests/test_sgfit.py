@@ -8,6 +8,9 @@ from sglight.sg import SgEnvironment, SphericalGaussian, normalize, unit_to_sphe
 from sglight.sgfit import (
     FitConfig,
     FitResult,
+    _grid,
+    _jacobian,
+    _objective_parts,
     fit_objective,
     fit_sg,
     fit_visibility,
@@ -93,6 +96,42 @@ class TestGradients:
         g = sg_gradients(lobe, axis)
         np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
         np.testing.assert_allclose(g["phi"], 0.0, atol=1e-12)
+
+
+class TestJacobian:
+    def test_against_finite_differences(self):
+        """The fit's Jacobian matches central differences of the residuals."""
+        rng = np.random.default_rng(8)
+        p = np.column_stack([
+            np.log(rng.uniform(0.2, 3.0, size=(3, 3))),
+            np.log(rng.uniform(1.0, 30.0, size=3)),
+            rng.uniform(0.2, 2.9, size=3),
+            rng.uniform(0.0, 2.0 * np.pi, size=3),
+        ])
+        dirs, sqrt_w = _grid(8, 16)
+        target = rng.uniform(0.0, 2.0, size=dirs.shape)
+        _, pred = _objective_parts(p, dirs, target, sqrt_w)
+        jac = _jacobian(p, dirs, pred, sqrt_w)
+        assert jac.shape == (dirs.shape[0] * 3, p.size)
+        h = 1e-6
+        fd = np.zeros_like(jac)
+        for k in range(p.size):
+            step = np.zeros_like(p)
+            step.flat[k] = h
+            plus, _ = _objective_parts(p + step, dirs, target, sqrt_w)
+            minus, _ = _objective_parts(p - step, dirs, target, sqrt_w)
+            fd[:, k] = (plus - minus) / (2 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+
+
+class TestObjective:
+    def test_zero_channel_scores_exactly_zero(self):
+        """A mixture scored on its own decoding is exactly 0, zero channels too."""
+        env = SgEnvironment((
+            SphericalGaussian(normalize([0.2, -0.4, 0.9]), 7.0, [1.5, 0.0, 0.4]),
+            SphericalGaussian(normalize([-0.8, 0.1, 0.3]), 3.0, [0.2, 0.0, 2.0]),
+        ))
+        assert fit_objective(env, decode_env(env, 16, 32)) == 0.0
 
 
 class TestFitRecovery:
