@@ -26,6 +26,8 @@ from .sg import lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
+# points interpolated at once; a (points, 8) float64 temporary is 256 kB
+CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -130,45 +132,82 @@ def ray_box_intersect(bbox_min, bbox_max, origins, dirs):
     return t_near, hi, hit
 
 
-def _interp_fields(vol: VsgVolume, points, nearest: bool = False):
-    """Interpolate the 8 channels at world points inside the box.
+def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
+    """Fill out (N, 8) with the 8 channels interpolated at points (N, 3).
 
     Trilinear over voxel centers (edge clamped), or nearest-neighbor when
-    nearest=True. Returns (alpha, intensity, axis, sharpness) with the axis
-    renormalized; a vanishing interpolated axis falls back to +z.
+    nearest=True. The axis columns are renormalized in place; a vanishing
+    interpolated axis falls back to +z. Works through CHUNK_POINTS points
+    at a time, gathering from the flat (X*Y*Z, 8) view of the grid, so its
+    temporaries stay near 1 MB whatever N is.
     """
-    points = np.asarray(points, dtype=np.float64)
     dims = np.array(vol.dims, dtype=np.float64)
     cell = (vol.bbox_max - vol.bbox_min) / dims
-    # continuous voxel-center coordinates
-    g = (points - vol.bbox_min) / cell - 0.5
-    g = np.clip(g, 0.0, dims - 1.0)
-    if nearest:
-        idx = np.rint(g).astype(np.int64)
-        rec = vol.data[idx[..., 0], idx[..., 1], idx[..., 2]]
-    else:
-        i0 = np.floor(g).astype(np.int64)
-        i0 = np.minimum(i0, (dims - 2).astype(np.int64).clip(min=0))
-        f = g - i0
-        rec = np.zeros(points.shape[:-1] + (8,))
-        for dx in (0, 1):
-            wx = (1.0 - f[..., 0]) if dx == 0 else f[..., 0]
-            x = np.minimum(i0[..., 0] + dx, int(dims[0]) - 1)
-            for dy in (0, 1):
-                wy = (1.0 - f[..., 1]) if dy == 0 else f[..., 1]
-                y = np.minimum(i0[..., 1] + dy, int(dims[1]) - 1)
-                for dz in (0, 1):
-                    wz = (1.0 - f[..., 2]) if dz == 0 else f[..., 2]
-                    z = np.minimum(i0[..., 2] + dz, int(dims[2]) - 1)
-                    rec += (wx * wy * wz)[..., None] * vol.data[x, y, z]
-    alpha = rec[..., 0]
-    intensity = rec[..., 1:4]
-    axis = rec[..., 4:7]
-    norm = np.linalg.norm(axis, axis=-1, keepdims=True)
-    ok = norm > 1e-12
-    axis = np.where(ok, axis / np.where(ok, norm, 1.0), np.array([0.0, 0.0, 1.0]))
-    sharpness = rec[..., 7]
-    return alpha, intensity, axis, sharpness
+    flat = vol.data.reshape(-1, 8)
+    stride = np.array([vol.dims[1] * vol.dims[2], vol.dims[2], 1])
+    i_max = (dims - 2).astype(np.int64).clip(min=0)
+    # flat offset of the +1 neighbour per axis; 0 on an axis of size 1,
+    # where the upper corner clamps back onto the lower one
+    step = np.where(dims > 1, stride, 0)
+    size = min(CHUNK_POINTS, points.shape[0])
+    corner = np.empty((size, 8))
+    weight = np.empty(size)
+    for lo in range(0, points.shape[0], CHUNK_POINTS):
+        rec = out[lo:lo + CHUNK_POINTS]
+        # continuous voxel-center coordinates
+        g = (points[lo:lo + CHUNK_POINTS] - vol.bbox_min) / cell - 0.5
+        g = np.clip(g, 0.0, dims - 1.0)
+        if nearest:
+            np.take(flat, np.rint(g).astype(np.int64) @ stride, axis=0, out=rec)
+        else:
+            i0 = np.minimum(np.floor(g).astype(np.int64), i_max)
+            f = g - i0
+            f1 = 1.0 - f
+            base = i0 @ stride
+            c = corner[:len(rec)]
+            w = weight[:len(rec)]
+            rec[:] = 0.0
+            for dx in (0, 1):
+                wx = f1[:, 0] if dx == 0 else f[:, 0]
+                for dy in (0, 1):
+                    wxy = wx * (f1[:, 1] if dy == 0 else f[:, 1])
+                    for dz in (0, 1):
+                        np.multiply(wxy, f1[:, 2] if dz == 0 else f[:, 2], out=w)
+                        offset = dx * step[0] + dy * step[1] + dz * step[2]
+                        np.take(flat, base + offset, axis=0, out=c)
+                        c *= w[:, None]
+                        rec += c
+        axis = rec[:, 4:7]
+        norm = np.linalg.norm(axis, axis=-1, keepdims=True)
+        ok = norm > 1e-12
+        axis[:] = np.where(ok, axis / np.where(ok, norm, 1.0), np.array([0.0, 0.0, 1.0]))
+
+
+def _fields(rec):
+    """(alpha, intensity, axis, sharpness) views of (..., 8) records."""
+    return rec[..., 0], rec[..., 1:4], rec[..., 4:7], rec[..., 7]
+
+
+def _interp_fields(vol: VsgVolume, points, nearest: bool = False):
+    """Interpolate the 8 channels at world points (..., 3) inside the box.
+
+    Returns (alpha, intensity, axis, sharpness) as views of one (..., 8)
+    record array filled by _interp_records, with the axis renormalized.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    rec = np.empty(points.shape[:-1] + (8,))
+    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8), nearest)
+    return _fields(rec)
+
+
+def _march(origins, dirs, t_near, t_far, n_r: int):
+    """Midpoints of n_r equal segments of [t_near, t_far] along each ray.
+
+    Returns distances (..., n_r) and points (..., n_r, 3); the one formula
+    shared by the per-ray and the batched sampler.
+    """
+    t = t_near[..., None] + (np.arange(n_r) + 0.5) * (t_far - t_near)[..., None] / n_r
+    return t, origins[..., None, :] + t[..., None] * dirs[..., None, :]
 
 
 def sample_ray(
@@ -193,8 +232,7 @@ def sample_ray(
         empty = np.zeros(0)
         return RaySampleSet(origin, direction, empty, empty,
                             np.zeros((0, 3)), np.zeros((0, 3)), empty)
-    t = t_near + (np.arange(n_r) + 0.5) * (t_far - t_near) / n_r
-    points = origin + t[:, None] * direction
+    t, points = _march(origin, direction, t_near, t_far, n_r)
     alpha, intensity, axis, sharpness = _interp_fields(vol, points, nearest)
     return RaySampleSet(origin, direction, t, alpha, intensity, axis, sharpness)
 
@@ -252,14 +290,21 @@ def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
 
 
 def _sample_batch(vol: VsgVolume, origins, dirs, n_r: int):
-    """Vectorized sampler for many guaranteed-hit rays."""
+    """Vectorized sampler for many guaranteed-hit rays.
+
+    Fills one (rays, n_r, 8) record array, marching and interpolating
+    about CHUNK_POINTS points at a time; the records equal sample_ray's.
+    """
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
     if not np.all(hit):
         raise ValueError("batch sampler expects rays that hit the box")
-    frac = (np.arange(n_r) + 0.5) / n_r
-    t = t_near[:, None] + frac[None, :] * (t_far - t_near)[:, None]
-    points = origins[:, None, :] + t[..., None] * dirs[:, None, :]
-    return _interp_fields(vol, points)
+    rec = np.empty((len(origins), n_r, 8))
+    step = max(1, CHUNK_POINTS // n_r)
+    for lo in range(0, len(origins), step):
+        sl = slice(lo, lo + step)
+        _, points = _march(origins[sl], dirs[sl], t_near[sl], t_far[sl], n_r)
+        _interp_records(vol, points.reshape(-1, 3), rec[sl].reshape(-1, 8))
+    return _fields(rec)
 
 
 def bench_orders(
@@ -268,17 +313,20 @@ def bench_orders(
     n_r: int = 128,
     runs: int = 5,
     seed: int = 0,
-    chunk: int = 16384,
+    chunk: int = 1024,
 ) -> dict:
     """Time both compositing orders on identical sampled records.
 
-    Sampling is excluded from the timings; each run composites the same
-    per-chunk records in both orders. Returns the exact lobe-evaluation
-    counts (rays * n_r for "before", rays for "after") and the median
-    wall time over runs.
+    Rays are drawn, sampled and composited chunk rays at a time, so the
+    records held at once are chunk * n_r * 64 bytes (8 MB at the default
+    1024 rays and n_r = 128) however many rays are timed. Sampling is
+    excluded from the timings; each run composites the same per-chunk
+    records in both orders. Returns the exact lobe-evaluation counts
+    (rays * n_r for "before", rays for "after") and the median over runs
+    of the summed per-chunk wall times.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if runs < 1 or rays < 1 or n_r < 1:
+        raise ValueError("runs, rays and n_r must be >= 1")
     rng = np.random.default_rng(seed)
     t_before = np.zeros(runs)
     t_after = np.zeros(runs)
@@ -347,6 +395,8 @@ def load_vsg(path) -> VsgVolume:
         raise ValueError("malformed volume header") from None
     if len(dims) != 3 or len(bbox) != 6:
         raise ValueError("malformed volume header")
+    if min(dims) < 1:
+        raise ValueError(f"volume dimensions must be >= 1, got {lines[1]!r}")
     if lines[3] != CHANNEL_ORDER:
         raise ValueError(f"unexpected channel order {lines[3]!r}")
     count = dims[0] * dims[1] * dims[2] * 8

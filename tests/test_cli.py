@@ -271,6 +271,36 @@ def test_zero_size_volume_is_clean_error(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--nr-sweep", "0"], ["--nr-sweep", "-3"],
+                                   ["--rays", "0"], ["--rays", "-5"]])
+def test_bench_order_rejects_empty_counts(flags, tmp_path, capsys):
+    """Sample and ray counts below 1 fail with one error line, no traceback."""
+    scene = write_volume_scene(tmp_path)
+    rc = main(["bench-order", str(scene), *flags, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line] == [err.strip()]
+    assert err.startswith("error:") and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("dims,payload", [(b"-1 -1 4", 128), (b"-2 4 4", 0)])
+def test_negative_volume_dimensions_are_clean_error(dims, payload, tmp_path, capsys):
+    """Negative header dimensions fail with one error line, no traceback."""
+    write_volume_scene(tmp_path)
+    (tmp_path / "vol.vsg").write_bytes(
+        b"VSG1\n" + dims + b"\n-1 -1 1 1 1 3\nalpha intensity axis sharpness\n"
+        + b"\x00" * payload
+    )
+    rc = main(["vsg-trace", str(tmp_path / "vscene.txt"), "--order", "before",
+               "--out", str(tmp_path / "o.pfm")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line] == [err.strip()]
+    assert err.startswith("error:")
+    assert "dimensions must be >= 1" in err
+    assert "Traceback" not in err
+
+
 class TestReproject:
     def test_outputs_match_library(self, tmp_path):
         scene_path = write_pair_scene(tmp_path, offset=0.3)
