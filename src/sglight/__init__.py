@@ -50,6 +50,7 @@ from .multiview import (
     MultiViewSet,
     VisibleSurfaceVolume,
     depth_projection_error,
+    depth_projection_errors,
     estimate_depth_scale,
     multiview_mask,
     multiview_weight,

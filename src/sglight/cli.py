@@ -22,7 +22,7 @@ from .envmap import EnvironmentMap
 from .metrics import METRICS, g1_angular, g6_entropy
 from .multiview import (
     MultiViewSet,
-    depth_projection_error,
+    depth_projection_errors,
     multiview_mask,
     multiview_weight,
 )
@@ -204,21 +204,16 @@ def _cmd_reproject(args) -> int:
         raise CliError(f"camera {args.target} has no depth map")
     h, w = tview.depth.shape
     k = len(mvs)
-    emap = np.zeros((h, w, k))
-    wmap = np.zeros((h, w, k))
-    mask_lines = []
-    for i in range(h):
-        for j in range(w):
-            e = depth_projection_error(mvs, (i, j))
-            emap[i, j] = e
-            wmap[i, j] = multiview_weight(e)
-            m = multiview_mask(e)
-            mask_lines.append(f"{i} {j} " + " ".join(str(v) for v in m))
+    pixels = np.indices((h, w)).transpose(1, 2, 0)  # (h, w, 2) of (row, col)
+    emap = depth_projection_errors(mvs, pixels)
+    wmap = multiview_weight(emap)
+    # one row-major line per pixel: row col mask...
+    table = np.concatenate([pixels, multiview_mask(emap)], axis=-1).reshape(h * w, -1)
     # K views tiled horizontally into grayscale maps
     write_pfm(args.out[0], emap.transpose(0, 2, 1).reshape(h, w * k).astype(np.float32))
     write_pfm(args.out[1], wmap.transpose(0, 2, 1).reshape(h, w * k).astype(np.float32))
     with open(args.out[2], "w", encoding="ascii") as fh:
-        fh.write("\n".join(mask_lines) + "\n")
+        fh.write("".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
     return 0
 
 

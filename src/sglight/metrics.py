@@ -11,7 +11,6 @@ never increase either metric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # slack accepted when clamping dot products into arccos domain
 DOT_TOL = 1e-7
@@ -97,6 +96,7 @@ def g5_scaled_log_mse(pred, ref, mask) -> float:
     scale and tau = 1 are also evaluated and the best kept, so the result
     never exceeds g4.
     """
+    from scipy.optimize import minimize_scalar  # scipy costs ~0.5 s to import
     a, b, m = _pair(pred, ref, mask)
     if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
         raise ValueError("log-domain metrics need nonnegative inputs")

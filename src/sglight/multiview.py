@@ -90,7 +90,8 @@ class CameraView:
         distance to the camera center; valid is False behind the camera.
         """
         p = np.asarray(points, dtype=np.float64)
-        p_cam = p @ self.rotation.T + self.translation
+        # one (1, 3) @ (3, 3) per point: a batched gemm would round differently
+        p_cam = (p[..., None, :] @ self.rotation.T)[..., 0, :] + self.translation
         z = p_cam[..., 2]
         valid = z > 0.0
         safe_z = np.where(valid, z, 1.0)
@@ -112,7 +113,7 @@ class CameraView:
         )
         ray /= np.linalg.norm(ray, axis=-1, keepdims=True)
         p_cam = ray * dist[..., None]
-        return (p_cam - self.translation) @ self.rotation
+        return ((p_cam - self.translation)[..., None, :] @ self.rotation)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,8 @@ def bilinear_lookup(img: np.ndarray, u, v):
     x = np.asarray(u, dtype=np.float64) - 0.5
     y = np.asarray(v, dtype=np.float64) - 0.5
     inside = (x >= 0.0) & (x <= w - 1.0) & (y >= 0.0) & (y <= h - 1.0)
-    xs = np.clip(x, 0.0, w - 1.0)
-    ys = np.clip(y, 0.0, h - 1.0)
+    xs = np.where(inside, x, 0.0)  # NaN coordinates must not become indices
+    ys = np.where(inside, y, 0.0)
     x0 = np.minimum(np.floor(xs).astype(np.int64), w - 2 if w > 1 else 0)
     y0 = np.minimum(np.floor(ys).astype(np.int64), h - 2 if h > 1 else 0)
     x1 = np.minimum(x0 + 1, w - 1)
@@ -185,40 +186,43 @@ def bilinear_lookup(img: np.ndarray, u, v):
     return np.where(keep, val, zero), inside
 
 
-def depth_projection_error(mvs: MultiViewSet, target_pixel) -> np.ndarray:
-    """Consistency errors e_k = |d_k - z_k| for one target pixel.
+def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
+    """Consistency errors e_k = |d_k - z_k| for target pixels, (..., K).
 
-    target_pixel is (row, col) in the target view, whose depth map must
-    be present and positive there. Entry k covers view k in order (the
-    target's own entry is ~0 for consistent data). Out-of-frame or
-    behind-camera projections give +inf.
+    pixels (..., 2) holds (row, col) pairs; the target depth map must be
+    present and positive at all of them. The point cloud is projected into
+    each view once; entry k covers view k (the target's own is ~0 for
+    consistent data). Out-of-frame or behind-camera projections give +inf.
     """
     tview = mvs.views[mvs.target]
     if tview.depth is None:
         raise ValueError("target view has no depth map")
-    row, col = int(target_pixel[0]), int(target_pixel[1])
-    d_t = float(tview.depth[row, col])
-    if d_t <= 0.0:
+    pixels = np.asarray(pixels).astype(np.int64)
+    row, col = pixels[..., 0], pixels[..., 1]
+    d_t = tview.depth[row, col]
+    if np.any(d_t <= 0.0):
         raise ValueError("target pixel has no valid depth")
-    point = tview.unproject(col + 0.5, row + 0.5, d_t)
-    errors = np.full(len(mvs), np.inf)
+    points = tview.unproject(col + 0.5, row + 0.5, d_t)
+    errors = np.full(d_t.shape + (len(mvs),), np.inf)
     for k, view in enumerate(mvs.views):
         if view.depth is None:
             raise ValueError(f"view {k} has no depth map")
-        u, v, dist, valid = view.project(point)
-        if not valid:
-            continue
+        u, v, dist, valid = view.project(points)
         d_k, inside = bilinear_lookup(view.depth, u, v)
-        if not inside:
-            continue
-        errors[k] = abs(float(d_k) - float(dist))
+        errors[..., k] = np.where(valid & inside, np.abs(d_k - dist), np.inf)
     return errors
+
+
+def depth_projection_error(mvs: MultiViewSet, target_pixel) -> np.ndarray:
+    """Consistency errors (K,) for one target pixel (row, col)."""
+    return depth_projection_errors(mvs, (target_pixel[0], target_pixel[1]))
 
 
 def multiview_weight(errors, cap: float = WEIGHT_CAP, base: str = "e") -> np.ndarray:
     """w = max(-log e, 0), capped, L1 normalized; uniform when all zero.
 
-    base selects the natural log (default) or base 10 ("10").
+    Each row of errors (..., K) is normalized on its own. base selects the
+    natural log (default) or base 10 ("10").
     """
     e = np.asarray(errors, dtype=np.float64)
     if np.any(np.isnan(e)) or np.any(e < 0.0):
@@ -230,21 +234,20 @@ def multiview_weight(errors, cap: float = WEIGHT_CAP, base: str = "e") -> np.nda
     raw = np.where(e == 0.0, cap, raw)  # -log(0) -> capped maximum
     raw = np.clip(raw, 0.0, cap)
     raw = np.where(np.isinf(e), 0.0, raw)  # out of frame carries no vote
-    total = raw.sum()
-    if total == 0.0:
-        return np.full(e.shape, 1.0 / e.size)
-    return raw / total
+    total = raw.sum(axis=-1, keepdims=True)
+    uniform = total == 0.0
+    return np.where(uniform, 1.0 / e.shape[-1], raw / np.where(uniform, 1.0, total))
 
 
 def multiview_mask(errors, threshold: float = MASK_THRESHOLD) -> np.ndarray:
-    """Binary mask (K+1,): leading 1 for the target, then e_k < threshold.
+    """Binary mask (..., K+1): leading 1 for the target, then e_k < threshold.
 
     The comparison is strict, so e_k exactly at the threshold is dropped.
     """
     e = np.asarray(errors, dtype=np.float64)
     if np.any(np.isnan(e)) or np.any(e < 0.0):
         raise ValueError("errors must be >= 0")
-    return np.concatenate([[1], (e < threshold).astype(np.int64)])
+    return np.concatenate([np.ones_like(e[..., :1]), e < threshold], axis=-1).astype(np.int64)
 
 
 def estimate_depth_scale(

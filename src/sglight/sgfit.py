@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, lsq_linear
 
 from .envmap import EnvironmentMap, grid_directions, solid_angle_weights
 from .sg import (
@@ -253,6 +252,7 @@ def fit_visibility(env: SgEnvironment, targets: np.ndarray) -> np.ndarray:
     0 <= mu <= 1 (solid-angle weighted, matching fit_sg's objective
     weighting in the linear domain). Returns (..., S).
     """
+    from scipy.optimize import lsq_linear  # scipy costs ~0.5 s to import
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim < 3 or targets.shape[-1] != 3:
         raise ValueError("targets must be (..., rows, cols, 3)")
@@ -276,6 +276,7 @@ def fit_visibility(env: SgEnvironment, targets: np.ndarray) -> np.ndarray:
 
 def match_lobes(fitted: SgEnvironment, reference: SgEnvironment):
     """Hungarian pairing of lobes by axis angle; list of (fit, ref) pairs."""
+    from scipy.optimize import linear_sum_assignment  # scipy costs ~0.5 s to import
     cost = np.arccos(np.clip(fitted.packed[:, :3] @ reference.packed[:, :3].T, -1.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))

@@ -9,7 +9,12 @@ import pytest
 
 from sglight.cli import main
 from sglight.envmap import decode_env
-from sglight.multiview import MultiViewSet, depth_projection_error, multiview_weight
+from sglight.multiview import (
+    MultiViewSet,
+    depth_projection_error,
+    multiview_mask,
+    multiview_weight,
+)
 from sglight.pfm import read_pfm, write_pfm
 from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
@@ -103,6 +108,27 @@ def write_pair_scene(dirpath, size=4, offset=0.0):
         f"size: {size} {size}\ndepth: d1.pfm\n"
     )
     path = dirpath / "pair.txt"
+    path.write_text(text)
+    return path
+
+
+def write_posed_scene(dirpath, size=6):
+    """Three cameras with rotated, translated poses and random depths."""
+    rng = np.random.default_rng(11)
+    text = "sgscene 1\n"
+    for k, (angle, trans) in enumerate([(0.35, (0.2, -0.1, 0.4)),
+                                         (0.1, (0.0, 0.1, 0.0)),
+                                         (0.8, (0.3, 0.0, -0.2))]):
+        c, s = np.cos(angle), np.sin(angle)
+        rot = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+        rot = rot @ np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+        write_pfm(dirpath / f"d{k}.pfm",
+                  rng.uniform(1.5, 3.0, size=(size, size)).astype(np.float32))
+        text += (f"[camera.{k}]\nintrinsics: 5 5 {size / 2} {size / 2}\n"
+                 + "".join(f"pose: {r[0]!r} {r[1]!r} {r[2]!r} {t!r}\n"
+                           for r, t in zip(rot.tolist(), trans))
+                 + f"size: {size} {size}\ndepth: d{k}.pfm\n")
+    path = dirpath / "posed.txt"
     path.write_text(text)
     return path
 
@@ -325,6 +351,36 @@ class TestReproject:
         assert first[:2] == [0, 0] and len(first) == 5
         assert first[2] == 1  # target entry
 
+    def test_posed_outputs_equal_per_pixel_library(self, tmp_path):
+        """A rotated, translated target: every output matches exactly."""
+        scene_path = write_posed_scene(tmp_path)
+        outs = [str(tmp_path / n) for n in ("e.pfm", "w.pfm", "m.txt")]
+        assert main(["reproject", str(scene_path), "--target", "0", "--out", *outs]) == 0
+        mvs = MultiViewSet(tuple(parse_scene(scene_path).cameras), target=0)
+        pixels = [(i, j) for i in range(6) for j in range(6)]
+        e = np.array([depth_projection_error(mvs, p) for p in pixels]).reshape(6, 6, 3)
+        w = np.array([multiview_weight(r) for r in e.reshape(-1, 3)]).reshape(6, 6, 3)
+        assert np.isinf(e).any() and np.isfinite(e[..., 1:]).any()
+
+        def tiled(a):
+            return a.transpose(0, 2, 1).reshape(6, 18).astype(np.float32)
+
+        assert np.array_equal(read_pfm(outs[0]), tiled(e))
+        assert np.array_equal(read_pfm(outs[1]), tiled(w))
+        want = [f"{i} {j} " + " ".join(str(v) for v in multiview_mask(e[i, j]))
+                for i, j in pixels]
+        assert (tmp_path / "m.txt").read_text() == "\n".join(want) + "\n"
+
+    def test_target_depth_hole_aborts(self, tmp_path, capsys):
+        scene_path = write_posed_scene(tmp_path)
+        depth = read_pfm(tmp_path / "d0.pfm").copy()
+        depth[4, 1] = 0.0
+        write_pfm(tmp_path / "d0.pfm", depth)
+        outs = [str(tmp_path / n) for n in ("e.pfm", "w.pfm", "m.txt")]
+        assert main(["reproject", str(scene_path), "--target", "0", "--out", *outs]) == 1
+        assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
+        assert not (tmp_path / "e.pfm").exists()
+
     def test_needs_two_cameras(self, tmp_path, capsys):
         scene = write_wall_scene(tmp_path)
         rc = main(["reproject", str(scene), "--target", "0", "--out",
@@ -443,6 +499,14 @@ class TestEntryPoints:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_import_leaves_scipy_unloaded(self):
+        """Only g5, fit_visibility and match_lobes import scipy, on use."""
+        code = "import sys, sglight.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from sglight.multiview import (
     MultiViewSet,
     bilinear_lookup,
     depth_projection_error,
+    depth_projection_errors,
     estimate_depth_scale,
     multiview_mask,
     multiview_weight,
@@ -29,6 +30,33 @@ def simple_camera(size=4, fx=20.0, rotation=None, translation=None):
 def yaw(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+
+
+def pitch(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def posed_views(size=8, target=1, seed=3):
+    """Four views with rotated, translated poses and random depth maps.
+
+    View 2 turns far enough that most projections leave its frame, and
+    view 3 looks away, so some points land behind it.
+    """
+    rng = np.random.default_rng(seed)
+    poses = [
+        (yaw(0.05), [0.1, 0.0, 0.0]),
+        (yaw(0.3) @ pitch(-0.2), [0.2, -0.1, 0.5]),
+        (yaw(0.9), [0.3, 0.2, 0.1]),
+        (yaw(2.0) @ pitch(0.4), [-0.4, 0.3, 1.2]),
+    ]
+    views = tuple(
+        CameraView(fx=9.0, fy=7.0, cx=size / 2.0 + 0.3, cy=size / 2.0 - 0.2,
+                   rotation=r, translation=np.array(t), width=size, height=size,
+                   depth=rng.uniform(1.5, 3.0, size=(size, size)))
+        for r, t in poses
+    )
+    return MultiViewSet(views, target=target)
 
 
 class TestCamera:
@@ -159,6 +187,71 @@ class TestDepthError:
         cam = simple_camera()
         with pytest.raises(ValueError):
             depth_projection_error(MultiViewSet((cam, cam)), (0, 0))
+
+
+class TestBatchedReprojection:
+    """The whole-view kernel agrees exactly with its one-pixel case."""
+
+    @staticmethod
+    def pixels(size):
+        return np.indices((size, size)).transpose(1, 2, 0)
+
+    @staticmethod
+    def per_pixel(mvs, size):
+        return np.array([[depth_projection_error(mvs, (i, j)) for j in range(size)]
+                         for i in range(size)])
+
+    def test_whole_view_equals_pixel_loop(self):
+        mvs = posed_views()
+        batched = depth_projection_errors(mvs, self.pixels(8))
+        assert batched.shape == (8, 8, 4)
+        assert np.array_equal(batched, self.per_pixel(mvs, 8))
+        # the scene reaches every branch: in frame, out of frame, behind
+        tview = mvs.views[mvs.target]
+        jj, ii = np.meshgrid(np.arange(8) + 0.5, np.arange(8) + 0.5)
+        points = tview.unproject(jj, ii, tview.depth)
+        assert not np.all(mvs.views[3].project(points)[3])
+        assert np.isinf(batched[..., 2]).any() and np.isfinite(batched[..., 2]).any()
+        assert np.max(batched[1:-1, 1:-1, mvs.target]) < 1e-12
+
+    def test_pixel_list_and_nan_depth(self):
+        """Any leading shape works; a NaN target depth gives an inf row."""
+        mvs = posed_views(size=5, target=0)
+        mvs.views[0].depth[2, 3] = np.nan
+        pixels = np.array([[2, 3], [0, 0], [4, 1]])
+        batched = depth_projection_errors(mvs, pixels)
+        loop = np.array([depth_projection_error(mvs, tuple(p)) for p in pixels])
+        assert np.array_equal(batched, loop)
+        assert np.isinf(batched[0]).all() and np.isfinite(batched[1, 0])
+
+    def test_single_hole_still_raises(self):
+        mvs = posed_views()
+        mvs.views[mvs.target].depth[5, 2] = 0.0
+        with pytest.raises(ValueError, match="target pixel has no valid depth"):
+            depth_projection_errors(mvs, self.pixels(8))
+        with pytest.raises(ValueError, match="target pixel has no valid depth"):
+            depth_projection_error(mvs, (5, 2))
+        assert np.isfinite(depth_projection_error(mvs, (5, 3))[mvs.target])
+
+    def test_weight_and_mask_rows(self):
+        """(H, W, K) inputs equal their row-by-row results."""
+        e = depth_projection_errors(posed_views(), self.pixels(8))
+        e[0, :3] = np.inf  # all-inf rows: the uniform fallback
+        e[1, 1] = [0.0, 0.02, 0.05, 2.0]  # the cap, the strict threshold
+        e[1, 2] = [1.0, 3.0, np.inf, 10.0]  # finite but voteless
+        rows = e.reshape(-1, 4)
+        w = multiview_weight(e)
+        assert np.array_equal(w, np.array([multiview_weight(r) for r in rows]).reshape(w.shape))
+        assert np.array_equal(w[0, :3], np.full((3, 4), 0.25))
+        assert np.array_equal(w[1, 2], np.full(4, 0.25))
+        m = multiview_mask(e)
+        assert m.shape == (8, 8, 5) and m.dtype == np.int64
+        assert np.array_equal(m, np.array([multiview_mask(r) for r in rows]).reshape(m.shape))
+        assert np.array_equal(m[1, 1], [1, 1, 1, 0, 0])
+        for base in ("e", "10"):
+            w = multiview_weight(e, base=base)
+            assert np.array_equal(
+                w, np.array([multiview_weight(r, base=base) for r in rows]).reshape(w.shape))
 
 
 class TestWeights:
