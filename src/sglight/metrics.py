@@ -5,7 +5,8 @@ entry per pixel and broadcasts over channels. The scale-invariant
 variants divide out a scalar fitted to the prediction: g3 reuses the
 closed-form linear least-squares scale, g5 uses the scale optimal in the
 log domain (seeded at the linear one), so adding the scale step can
-never increase either metric.
+never increase either metric. g5 searches log tau with Brent's bounded
+minimizer (golden section with parabolic steps), ported into this module.
 """
 
 from __future__ import annotations
@@ -89,6 +90,60 @@ def _log_mse_at(log_tau: float, a, b, m) -> float:
     return float(np.mean(((np.log1p(np.exp(log_tau) * a) - np.log1p(b)) ** 2)[m]))
 
 
+def _fminbound(func, lo: float, hi: float, xatol: float):
+    """Minimize func on [lo, hi] by Brent's bounded method; (x, func(x)).
+
+    Brent 1973, "Algorithms for Minimization without Derivatives", ch. 5,
+    with the arithmetic of scipy's minimize_scalar(method="bounded") step
+    for step and its cap of 500 evaluations, so both return the same bits.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    nfc = fulc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fnfc = ffulc = fx = func(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        # "not >" rather than "<=", so NaN bounds end the search as in scipy
+        if num >= 500 or not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return xf, fx
+        parabolic = False
+        if np.abs(e) > tol1:  # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            parabolic = np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabolic:
+            rat = (p + 0.0) / q
+            x = xf + rat
+            if (x - a) < tol2 or (b - x) < tol2:  # too close to a bound
+                rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        else:  # golden-section step into the larger part
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+
 def g5_scaled_log_mse(pred, ref, mask) -> float:
     """g4 after fitting a scalar scale on pred, optimal in the log domain.
 
@@ -96,7 +151,6 @@ def g5_scaled_log_mse(pred, ref, mask) -> float:
     scale and tau = 1 are also evaluated and the best kept, so the result
     never exceeds g4.
     """
-    from scipy.optimize import minimize_scalar  # scipy costs ~0.5 s to import
     a, b, m = _pair(pred, ref, mask)
     if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
         raise ValueError("log-domain metrics need nonnegative inputs")
@@ -109,15 +163,9 @@ def g5_scaled_log_mse(pred, ref, mask) -> float:
         candidates.append(np.log(tau_lin))
     lo = min(candidates) - 5.0
     hi = max(candidates) + 5.0
-    res = minimize_scalar(
-        _log_mse_at,
-        bounds=(lo, hi),
-        args=(a, b, m),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
+    _, fun = _fminbound(lambda t: _log_mse_at(t, a, b, m), lo, hi, xatol=1e-12)
     best = min(_log_mse_at(c, a, b, m) for c in candidates)
-    return float(min(best, res.fun))
+    return float(min(best, fun))
 
 
 def g6_entropy(albedo) -> float:

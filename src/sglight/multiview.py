@@ -8,11 +8,12 @@ inverses. Behind-camera validity still follows the camera-frame z sign.
 
 Cross-view consistency for a target pixel: unproject it, project the
 point into every view k, and compare the view's stored depth at the
-projected pixel (bilinear) against the point's distance to that camera,
-e_k = |d_k - z_k|. Out-of-frame or behind-camera projections get
-e_k = +inf. Weights are w = max(-log e, 0) (capped, then L1 normalized,
-uniform fallback when all raw weights vanish) and the binary mask keeps
-views with e_k < c_th (0.05 m), always keeping the target itself.
+projected pixel (bilinear) against the point's distance to that
+camera, e_k = |d_k - z_k|; the target reads its own depth at the pixel
+center. Out-of-frame or behind-camera projections get e_k = +inf.
+Weights are w = max(-log e, 0) (capped, then L1 normalized, uniform
+fallback when all raw weights vanish) and the binary mask keeps views
+with e_k < c_th (0.05 m), always keeping the target itself.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
 
     pixels (..., 2) holds (row, col) pairs; the target depth map must be
     present and positive at all of them. The point cloud is projected into
-    each view once; entry k covers view k (the target's own is ~0 for
-    consistent data). Out-of-frame or behind-camera projections give +inf.
+    each view once; entry k covers view k (the target's own, looked up at
+    the pixel center, is ~0). Out-of-frame or behind-camera projections
+    give +inf.
     """
     tview = mvs.views[mvs.target]
     if tview.depth is None:
@@ -202,12 +204,15 @@ def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     d_t = tview.depth[row, col]
     if np.any(d_t <= 0.0):
         raise ValueError("target pixel has no valid depth")
-    points = tview.unproject(col + 0.5, row + 0.5, d_t)
+    centers = (col + 0.5, row + 0.5)
+    points = tview.unproject(*centers, d_t)
     errors = np.full(d_t.shape + (len(mvs),), np.inf)
     for k, view in enumerate(mvs.views):
         if view.depth is None:
             raise ValueError(f"view {k} has no depth map")
         u, v, dist, valid = view.project(points)
+        if k == mvs.target:  # the round trip can leave a border pixel's support
+            u, v = centers
         d_k, inside = bilinear_lookup(view.depth, u, v)
         errors[..., k] = np.where(valid & inside, np.abs(d_k - dist), np.inf)
     return errors

@@ -13,7 +13,7 @@ format version header "sgscene 1". Sections:
                   vsg: volume.vsg                   (alternative to sg)
     [render]      resolution: width height
                   quadrature: n_lat n_lon
-                  seed: 0
+                  seed: 0       (ignored; still read so older files load)
 
 Referenced files are resolved against the scene file's directory and
 must exist. Cameras must be numbered 0..K-1. Parse errors carry the
@@ -48,7 +48,6 @@ class RenderSettings:
     width: int = 32
     height: int = 32
     quadrature: tuple = (32, 64)
-    seed: int = 0
 
 
 @dataclass
@@ -180,8 +179,8 @@ def parse_scene(path: str) -> Scene:
             elif key == "quadrature":
                 lat, lon = _ints(value, 2, num, "quadrature")
                 render.quadrature = (lat, lon)
-            elif key == "seed":
-                (render.seed,) = _ints(value, 1, num, "seed")
+            elif key == "seed":  # checked so older files load; nothing reads it
+                _ints(value, 1, num, "seed")
             else:
                 raise SceneError(f"unknown render key {key!r}", num)
 

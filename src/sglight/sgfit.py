@@ -129,24 +129,36 @@ def _objective_parts(p, dirs, target, sqrt_w):
     return _residuals(pred, target, sqrt_w), pred
 
 
-def _jacobian(p, dirs, pred, sqrt_w):
-    """Analytic Jacobian of the residual vector, shape (N*3, S*6)."""
+def _normal_equations(p, dirs, pred, sqrt_w, r):
+    """Gauss-Newton products (J^T J, J^T r), never forming J (N*3, S*6).
+
+    Channel c's rows of J are one shared (N, S, 4) block of lobe values and
+    exponent partials, scaled per row by the channel's chain-rule factor and
+    per lobe by its intensity c, at columns (s, c), (s, 3), (s, 4), (s, 5).
+    """
     n, s = dirs.shape[0], p.shape[0]
     sharp = np.exp(p[:, 3])
     axis = spherical_to_unit(p[:, 4], p[:, 5])
     d_theta, d_phi = _axis_partials(p[:, 4], p[:, 5])
-    e = lobe_values(axis, sharp, dirs[:, None, :])
-    value = e[:, None, :] * np.exp(p[:, 0:3]).T  # (N, 3, S) lobe contributions
-    jac = np.zeros((n, 3, s, 6))
-    # d/d log intensity_c: the channel's own contribution
-    for c in range(3):
-        jac[:, c, :, c] = value[:, c]
-    # d/d log sharpness, theta, phi: value times the exponent's partial
+    block = np.empty((n, s, 4))
+    block[..., 0] = lobe_values(axis, sharp, dirs[:, None, :])
+    # d/d log sharpness, theta, phi: the lobe value times the exponent's partial
     slopes = (dirs @ axis.T - 1.0, dirs @ d_theta.T, dirs @ d_phi.T)
-    for k, slope in enumerate(slopes, start=3):
-        np.multiply(value, (sharp * slope)[:, None, :], out=jac[..., k])
-    jac *= (sqrt_w[:, None] / (1.0 + pred))[:, :, None, None]  # chain rule through log1p
-    return jac.reshape(n * 3, s * 6)
+    for k, slope in enumerate(slopes, start=1):
+        np.multiply(block[..., 0], sharp * slope, out=block[..., k])
+    block = block.reshape(n, s * 4)
+    chain = sqrt_w[:, None] / (1.0 + pred)  # (N, 3), through log1p
+    h, g = np.zeros((s * 6, s * 6)), np.zeros(s * 6)
+    # one buffer for all channels: a fresh J_c per channel took the build on
+    # a 64x128 map with S = 8 from 3.2 to 5 ms, mostly in page faults
+    jac_c = np.empty_like(block)
+    for c in range(3):
+        np.multiply(block, chain[:, c, None], out=jac_c)
+        scale = np.repeat(np.exp(p[:, c]), 4)
+        cols = (6 * np.arange(s)[:, None] + (c, 3, 4, 5)).reshape(-1)
+        h[np.ix_(cols, cols)] += (jac_c.T @ jac_c) * np.outer(scale, scale)
+        g[cols] += (jac_c.T @ r[c::3]) * scale
+    return h, g
 
 
 def _greedy_init(target: np.ndarray, dirs_grid: np.ndarray, num_lobes: int) -> np.ndarray:
@@ -192,10 +204,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     converged = False
 
     for _ in range(config.max_iterations):
-        jac = _jacobian(p, dirs, pred, sqrt_w)
-        g = jac.T @ r
-        h = jac.T @ jac
-        del jac  # so the next Jacobian is never built next to this one
+        h, g = _normal_equations(p, dirs, pred, sqrt_w, r)
         diag = np.diag(h).copy()
         diag[diag <= 0.0] = 1e-12
         accepted = False

@@ -500,13 +500,33 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_import_leaves_scipy_unloaded(self):
-        """Only g5, fit_visibility and match_lobes import scipy, on use."""
-        code = "import sys, sglight.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code],
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        """Only fit_visibility and match_lobes import scipy, on use: importing
+        the CLI, metrics g5 and fit leave it unloaded."""
+        rng = np.random.default_rng(5)
+        ref = rng.uniform(0.1, 2.0, size=(4, 4, 3)).astype(np.float32)
+        write_pfm(tmp_path / "a.pfm", (1.3 * ref).astype(np.float32))
+        write_pfm(tmp_path / "b.pfm", ref)
+        lobe = SphericalGaussian(normalize([0.3, -0.1, 0.95]), 9.0, [1.2, 0.8, 0.5])
+        target = decode_env(SgEnvironment((lobe,)), rows=8, cols=16)
+        write_pfm(tmp_path / "t.pfm", target.data.astype(np.float32))
+        code = (
+            "import sys\n"
+            "from sglight.cli import main\n"
+            "a, b, t, out = sys.argv[1:]\n"
+            "print('scipy' in sys.modules)\n"
+            "assert main(['metrics', a, b, '--metric', 'g5']) == 0\n"
+            "assert main(['fit', t, '--lobes', '1', '--out', out]) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        paths = [str(tmp_path / n) for n in ("a.pfm", "b.pfm", "t.pfm", "lobes.txt")]
+        proc = subprocess.run([sys.executable, "-c", code, *paths],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        before, value, after = proc.stdout.split()
+        assert before == after == "False"
+        assert float(value) >= 0.0
+        assert (tmp_path / "lobes.txt").read_text().count("\n") == 2
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,8 @@ import pytest
 
 from sglight.metrics import (
     METRICS,
+    _fminbound,
+    _log_mse_at,
     g1_angular,
     g2_mse,
     g3_scaled_mse,
@@ -161,6 +163,41 @@ class TestLogMse:
                 continue
             at_linear = g4_log_mse(pred * tau, ref, mask)
             assert g5_scaled_log_mse(pred, ref, mask) <= at_linear + 1e-15
+
+
+class TestBoundedMinimizer:
+    """_fminbound against the scipy routine it reproduces."""
+
+    def test_equals_scipy_bounded_bit_for_bit(self):
+        from scipy.optimize import minimize_scalar
+
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 12))
+            ref = rng.uniform(0.0, 3.0, size=(n, n, 3))
+            noise = np.exp(rng.normal(0.0, rng.uniform(0.01, 1.0), size=ref.shape))
+            pred = ref * rng.uniform(0.1, 5.0) * noise
+            mask = rng.uniform(size=(n, n)) < 0.7
+            mask.flat[0] = True
+            m = np.broadcast_to(mask[..., None], pred.shape)
+            mid = rng.uniform(-3.0, 3.0)
+            lo, hi = mid - rng.uniform(0.1, 6.0), mid + rng.uniform(0.1, 6.0)
+            x, fun = _fminbound(lambda t: _log_mse_at(t, pred, ref, m), lo, hi, 1e-12)
+            res = minimize_scalar(_log_mse_at, bounds=(lo, hi), args=(pred, ref, m),
+                                  method="bounded", options={"xatol": 1e-12})
+            assert x == res.x and fun == res.fun, seed
+
+    def test_stops_at_500_evaluations(self):
+        """A negative tolerance never converges; the cap ends the search."""
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return (t - 0.3) ** 2
+
+        x, fun = _fminbound(f, -2.0, 3.0, -1.0)
+        assert len(calls) == 500
+        assert fun == f(x) and abs(x - 0.3) < 1e-12
 
 
 class TestEntropy:

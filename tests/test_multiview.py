@@ -214,6 +214,13 @@ class TestBatchedReprojection:
         assert np.isinf(batched[..., 2]).any() and np.isfinite(batched[..., 2]).any()
         assert np.max(batched[1:-1, 1:-1, mvs.target]) < 1e-12
 
+    def test_border_pixels_keep_their_own_view(self):
+        """The target's own entry is ~0 at every valid pixel, border included,
+        although the unproject/project round trip can leave its support."""
+        mvs = posed_views()
+        own = depth_projection_errors(mvs, self.pixels(8))[..., mvs.target]
+        assert np.all(np.isfinite(own)) and np.max(own) < 1e-12
+
     def test_pixel_list_and_nan_depth(self):
         """Any leading shape works; a NaN target depth gives an inf row."""
         mvs = posed_views(size=5, target=0)

@@ -61,7 +61,7 @@ class TestParse:
         np.testing.assert_allclose(lobe.axis, [0.0, 0.0, 1.0])
         assert lobe.sharpness == 5.0
         assert scene.render.quadrature == (16, 32)
-        assert scene.render.seed == 7
+        assert not hasattr(scene.render, "seed")  # read, then dropped
         assert scene.volume is None
 
     def test_lobe_axis_normalized_at_parse(self, tmp_path):
@@ -160,6 +160,14 @@ class TestErrors:
         scene_file.write_text(
             "sgscene 1\n[lighting]\nsg: a b c 1 1 1 1\n"
         )
+        with pytest.raises(SceneError) as exc:
+            parse_scene(scene_file)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("value", ["1 2", "1.5", "x", ""])
+    def test_ignored_seed_still_one_integer(self, tmp_path, value):
+        scene_file = tmp_path / "scene.txt"
+        scene_file.write_text(f"sgscene 1\n[render]\nseed: {value}\n")
         with pytest.raises(SceneError) as exc:
             parse_scene(scene_file)
         assert exc.value.line == 3

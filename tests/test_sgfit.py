@@ -9,7 +9,7 @@ from sglight.sgfit import (
     FitConfig,
     FitResult,
     _grid,
-    _jacobian,
+    _normal_equations,
     _objective_parts,
     fit_objective,
     fit_sg,
@@ -98,30 +98,85 @@ class TestGradients:
         np.testing.assert_allclose(g["phi"], 0.0, atol=1e-12)
 
 
+def random_params(rng, s):
+    """A parameter matrix (s, 6) away from any degenerate configuration."""
+    return np.column_stack([
+        np.log(rng.uniform(0.2, 3.0, size=(s, 3))),
+        np.log(rng.uniform(1.0, 30.0, size=s)),
+        rng.uniform(0.2, 2.9, size=s),
+        rng.uniform(0.0, 2.0 * np.pi, size=s),
+    ])
+
+
+def dense_jacobian(p, dirs, pred, sqrt_w):
+    """The residual Jacobian (N*3, S*6), column by column, for reference."""
+    n, s = dirs.shape[0], p.shape[0]
+    jac = np.zeros((n, 3, s, 6))
+    for j in range(s):
+        intensity, sharp = np.exp(p[j, 0:3]), np.exp(p[j, 3])
+        theta, phi = p[j, 4], p[j, 5]
+        axis = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                         np.cos(theta)])
+        d_theta = np.array([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi),
+                            -np.sin(theta)])
+        d_phi = np.array([-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), 0.0])
+        value = np.exp(sharp * (dirs @ axis - 1.0))[:, None] * intensity  # (N, 3)
+        for c in range(3):
+            jac[:, c, j, c] = value[:, c]
+        for k, slope in enumerate((dirs @ axis - 1.0, dirs @ d_theta, dirs @ d_phi), 3):
+            jac[:, :, j, k] = value * (sharp * slope)[:, None]
+    jac *= (sqrt_w[:, None] / (1.0 + pred))[:, :, None, None]
+    return jac.reshape(n * 3, s * 6)
+
+
 class TestJacobian:
     def test_against_finite_differences(self):
-        """The fit's Jacobian matches central differences of the residuals."""
+        """The fit's normal equations match those of central differences."""
         rng = np.random.default_rng(8)
-        p = np.column_stack([
-            np.log(rng.uniform(0.2, 3.0, size=(3, 3))),
-            np.log(rng.uniform(1.0, 30.0, size=3)),
-            rng.uniform(0.2, 2.9, size=3),
-            rng.uniform(0.0, 2.0 * np.pi, size=3),
-        ])
+        p = random_params(rng, 3)
         dirs, sqrt_w = _grid(8, 16)
         target = rng.uniform(0.0, 2.0, size=dirs.shape)
-        _, pred = _objective_parts(p, dirs, target, sqrt_w)
-        jac = _jacobian(p, dirs, pred, sqrt_w)
-        assert jac.shape == (dirs.shape[0] * 3, p.size)
+        r, pred = _objective_parts(p, dirs, target, sqrt_w)
+        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r)
+        assert h_mat.shape == (p.size, p.size) and g.shape == (p.size,)
         h = 1e-6
-        fd = np.zeros_like(jac)
+        fd = np.zeros((r.size, p.size))
         for k in range(p.size):
             step = np.zeros_like(p)
             step.flat[k] = h
             plus, _ = _objective_parts(p + step, dirs, target, sqrt_w)
             minus, _ = _objective_parts(p - step, dirs, target, sqrt_w)
             fd[:, k] = (plus - minus) / (2 * h)
-        assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+        assert np.max(np.abs(h_mat - fd.T @ fd)) <= 1e-8 * np.max(np.abs(h_mat))
+        assert np.max(np.abs(g - fd.T @ r)) <= 1e-8 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_equals_dense_products(self, s):
+        """By-channel H and g equal J^T J and J^T r of the dense Jacobian."""
+        rng = np.random.default_rng(20 + s)
+        p = random_params(rng, s)
+        dirs, sqrt_w = _grid(12, 24)
+        target = rng.uniform(0.0, 2.0, size=dirs.shape)
+        r, pred = _objective_parts(p, dirs, target, sqrt_w)
+        jac = dense_jacobian(p, dirs, pred, sqrt_w)
+        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r)
+        h_ref, g_ref = jac.T @ jac, jac.T @ r
+        assert np.max(np.abs(h_mat - h_ref)) <= 1e-14 * np.max(np.abs(h_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+
+    def test_fit_trajectory_kept(self):
+        """A 4-lobe fit of a fixed 10-lobe map keeps the iteration count and
+        the loss it had with the dense Jacobian."""
+        rng = np.random.default_rng(10)
+        lobes = tuple(
+            SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(5.0, 60.0),
+                              rng.uniform(0.2, 3.0, size=3))
+            for _ in range(10)
+        )
+        target = decode_env(SgEnvironment(lobes), rows=16, cols=32)
+        res = fit_sg(target, FitConfig(num_lobes=4))
+        assert res.converged and res.iterations == 24
+        np.testing.assert_allclose(res.final_loss, 0.028862063916864203, rtol=1e-12)
 
 
 class TestObjective:
