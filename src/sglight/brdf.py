@@ -263,13 +263,13 @@ def _shade(env, g, pixels, grid, kernel):
         rows = slice(start, start + step)
         frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
         k = np.broadcast_to(kernel(rows, frame), (len(frame), m))
-        for s, lobe in enumerate(env.lobes):
-            lam = lobe.sharpness
-            e = _grid_dot(lam * np.einsum("pjk,k->pj", frame, lobe.axis), grid, -lam)
+        for s, row in enumerate(env.packed):  # ax ay az sharpness ir ig ib
+            lam = row[3]
+            e = _grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]), grid, -lam)
             c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
             if mu is not None:
                 c *= mu[pixels[rows], s]
-            out[rows] += c[:, None] * lobe.intensity
+            out[rows] += c[:, None] * row[4:]
     return out
 
 
@@ -368,10 +368,11 @@ def spec_encode(
     n = _as_unit(normal)
     v = _as_unit(view)
     out = []
-    for lobe in env.lobes:
-        axis_cos = float(np.dot(n, lobe.axis))
+    for row in env.packed:
+        axis, intensity = row[:3], row[4:]
+        axis_cos = float(np.dot(n, axis))
         view_cos = float(np.dot(n, v))
-        hs = v + lobe.axis
+        hs = v + axis
         hs_norm = float(np.linalg.norm(hs))
         defined = hs_norm > 1e-9
         if defined:
@@ -381,7 +382,7 @@ def spec_encode(
         else:
             fres = np.zeros(3)
             half_cos_sq = 0.0
-        energetic = float(np.sum(np.abs(lobe.intensity))) * axis_cos > 0.0
+        energetic = float(np.sum(np.abs(intensity))) * axis_cos > 0.0
         mask = int(energetic and defined)
         out.append(
             SpecEncoding(
@@ -389,8 +390,8 @@ def spec_encode(
                 half_cos_sq=half_cos_sq,
                 axis_cos=axis_cos,
                 view_cos=view_cos,
-                intensity=lobe.intensity.copy(),
-                sharpness=lobe.sharpness,
+                intensity=intensity.copy(),
+                sharpness=float(row[3]),
                 roughness=float(roughness),
                 mask=mask,
             )

@@ -5,31 +5,22 @@ Every command exits 0 on success; failures print one line of the form
 "error: <message>" to stderr and exit nonzero (2 for usage problems).
 Outputs are byte-identical across reruns (for bench-order, at a fixed
 --seed), except the measured seconds column of bench-order.
+
+Each command imports only the modules it runs, inside its own function,
+so a short invocation such as `metrics` never loads the shading, volume
+or fitting code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .brdf import render_diffuse, render_specular
-from .envmap import EnvironmentMap
-from .metrics import METRICS, g1_angular, g6_entropy
-from .multiview import (
-    MultiViewSet,
-    depth_projection_errors,
-    multiview_mask,
-    multiview_weight,
-)
+from .metrics import METRICS
 from .pfm import read_pfm, write_pfm
-from .scene import Scene, parse_scene
-from .sgfit import FitConfig, fit_sg
-from .vsg import bench_orders, composite_sg_after, composite_sg_before, sample_ray
 
 
 class CliError(RuntimeError):
@@ -87,7 +78,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require(scene: Scene, what: str):
+def _require(scene, what: str):
     value = {
         "camera": scene.cameras[0] if scene.cameras else None,
         "gbuffer": scene.gbuffer,
@@ -100,6 +91,8 @@ def _require(scene: Scene, what: str):
 
 
 def _cmd_fit(args) -> int:
+    from .envmap import EnvironmentMap
+    from .sgfit import FitConfig, fit_sg
     data = read_pfm(args.target)
     if data.ndim != 3:
         raise CliError("fit target must be a 3-channel PFM")
@@ -119,6 +112,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .brdf import render_diffuse, render_specular
+    from .scene import parse_scene
     scene = parse_scene(args.scene)
     cam = _require(scene, "camera")
     g = _require(scene, "gbuffer")
@@ -130,6 +125,7 @@ def _cmd_render(args) -> int:
     if threads == 1:
         specular = render_specular(g, env, cam, resolution=res).data
     else:
+        from concurrent.futures import ThreadPoolExecutor
         bands = [
             slice(start, min(start + max(1, h // threads), h))
             for start in range(0, h, max(1, h // threads))
@@ -150,6 +146,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_vsg_trace(args) -> int:
+    from .scene import parse_scene
+    from .vsg import composite_sg_after, composite_sg_before, sample_ray
     scene = parse_scene(args.scene)
     cam = _require(scene, "camera")
     vol = _require(scene, "volume")
@@ -172,6 +170,10 @@ def _cmd_vsg_trace(args) -> int:
 
 
 def _cmd_bench_order(args) -> int:
+    import csv
+
+    from .scene import parse_scene
+    from .vsg import bench_orders
     scene = parse_scene(args.scene)
     vol = _require(scene, "volume")
     try:
@@ -195,6 +197,9 @@ def _cmd_bench_order(args) -> int:
 
 
 def _cmd_reproject(args) -> int:
+    from .multiview import (MultiViewSet, depth_projection_errors, multiview_mask,
+                            multiview_weight)
+    from .scene import parse_scene
     scene = parse_scene(args.scene)
     if len(scene.cameras) < 2:
         raise CliError("reproject needs at least two cameras")
@@ -220,7 +225,7 @@ def _cmd_reproject(args) -> int:
 def _cmd_metrics(args) -> int:
     a = np.asarray(read_pfm(args.a), dtype=np.float64)
     if args.metric == "g6":
-        value = g6_entropy(a)
+        value = METRICS["g6"](a)
         print(f"{value:.17g}")
         return 0
     b = np.asarray(read_pfm(args.b), dtype=np.float64)
@@ -232,10 +237,7 @@ def _cmd_metrics(args) -> int:
             raise CliError("mask must be a grayscale PFM")
     else:
         mask = np.ones(a.shape[:2] if a.ndim == 3 else a.shape)
-    if args.metric == "g1":
-        value = g1_angular(a, b, mask)
-    else:
-        value = METRICS[args.metric](a, b, mask)
+    value = METRICS[args.metric](a, b, mask)
     print(f"{value:.17g}")
     return 0
 

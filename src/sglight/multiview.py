@@ -19,11 +19,12 @@ with e_k < c_th (0.05 m), always keeping the target itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .brdf import GBuffer
+if TYPE_CHECKING:
+    from .brdf import GBuffer
 
 WEIGHT_CAP = 50.0
 MASK_THRESHOLD = 0.05  # meters

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import pfm
-from .brdf import GBuffer
-from .multiview import CameraView
-from .sg import SgEnvironment, SphericalGaussian, normalize
-from .vsg import VsgVolume, load_vsg
+
+if TYPE_CHECKING:
+    from .brdf import GBuffer
+    from .sg import SgEnvironment
+    from .vsg import VsgVolume
 
 VERSION_HEADER = "sgscene 1"
 
@@ -164,12 +165,14 @@ def parse_scene(path: str) -> Scene:
             gbuffer_entries[key] = _resolve(value, base, num)
         elif section == "lighting":
             if key == "sg":
+                from .sg import SphericalGaussian, normalize
                 vals = _floats(value, 7, num, "sg lobe")
                 axis = normalize(np.array(vals[0:3]))
                 lighting_lobes.append(
                     SphericalGaussian(axis, vals[3], np.array(vals[4:7]))
                 )
             elif key == "vsg":
+                from .vsg import load_vsg
                 volume = load_vsg(_resolve(value, base, num))
             else:
                 raise SceneError(f"unknown lighting key {key!r}", num)
@@ -201,6 +204,7 @@ def parse_scene(path: str) -> Scene:
         if len(cam["pose"]) != 3:
             raise SceneError(f"camera {idx} needs three pose rows", cam["line"])
         pose = np.array(cam["pose"])
+        from .multiview import CameraView
         views.append(
             CameraView(
                 fx=cam["intrinsics"][0],
@@ -222,6 +226,7 @@ def parse_scene(path: str) -> Scene:
         for req in ("albedo", "roughness", "normal", "depth"):
             if req not in gbuffer_entries:
                 raise SceneError(f"gbuffer lacks {req}", 1)
+        from .brdf import GBuffer
         gbuffer = GBuffer(
             albedo=_load_rgb(gbuffer_entries["albedo"]),
             roughness=_load_gray(gbuffer_entries["roughness"]),
@@ -234,7 +239,10 @@ def parse_scene(path: str) -> Scene:
             ),
         )
 
-    lighting = SgEnvironment(tuple(lighting_lobes)) if lighting_lobes else None
+    lighting = None
+    if lighting_lobes:
+        from .sg import SgEnvironment
+        lighting = SgEnvironment(tuple(lighting_lobes))
     return Scene(
         cameras=views,
         gbuffer=gbuffer,

@@ -133,6 +133,63 @@ def write_posed_scene(dirpath, size=6):
     return path
 
 
+_CLI_MODULES = {"sglight", "sglight.cli", "sglight.metrics", "sglight.pfm"}
+# command -> (sglight modules beyond _CLI_MODULES, other tracked modules it loads)
+_COMMAND_IMPORTS = {
+    "metrics": (set(), []),
+    "fit": ({"envmap", "sg", "sgfit"}, []),
+    "render": ({"scene", "sg", "brdf", "envmap", "multiview"}, []),
+    "render-threads": ({"scene", "sg", "brdf", "envmap", "multiview"},
+                       ["concurrent.futures"]),
+    "vsg-trace": ({"scene", "sg", "vsg", "multiview"}, []),
+    "bench-order": ({"scene", "sg", "vsg", "multiview"}, ["csv"]),
+    "reproject": ({"scene", "multiview"}, []),
+}
+
+
+def _modules_after(statement):
+    """(sglight modules, loaded ones of concurrent.futures, csv and scipy)
+    after importing the CLI and running statement in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from sglight.cli import main\n"
+        f"{statement}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'sglight')))\n"
+        "print(' '.join(m for m in ('concurrent.futures', 'csv', 'scipy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ours, others = proc.stdout.splitlines()[-2:]
+    return ours.split(), others.split()
+
+
+def _probe_argv(command, d):
+    """A quick invocation of command on tiny inputs written under d."""
+    if command == "metrics":
+        rng = np.random.default_rng(5)
+        ref = rng.uniform(0.1, 2.0, size=(4, 4, 3)).astype(np.float32)
+        write_pfm(d / "a.pfm", (1.3 * ref).astype(np.float32))
+        write_pfm(d / "b.pfm", ref)
+        return ["metrics", str(d / "a.pfm"), str(d / "b.pfm"), "--metric", "g5"]
+    if command == "fit":
+        lobe = SphericalGaussian(normalize([0.3, -0.1, 0.95]), 9.0, [1.2, 0.8, 0.5])
+        target = decode_env(SgEnvironment((lobe,)), rows=8, cols=16)
+        write_pfm(d / "t.pfm", target.data.astype(np.float32))
+        return ["fit", str(d / "t.pfm"), "--lobes", "1", "--out", str(d / "lobes.txt")]
+    if command.startswith("render"):
+        scene = write_wall_scene(d, quadrature=(4, 8))
+        threads = ["--threads", "2"] if command == "render-threads" else []
+        return ["render", str(scene), "--out-prefix", str(d / "r"), *threads]
+    if command == "vsg-trace":
+        return ["vsg-trace", str(write_volume_scene(d)), "--order", "before",
+                "--nr", "8", "--out", str(d / "v.pfm")]
+    if command == "bench-order":
+        return ["bench-order", str(write_volume_scene(d)), "--rays", "16",
+                "--nr-sweep", "4", "--out", str(d / "b.csv")]
+    return ["reproject", str(write_pair_scene(d)), "--target", "0",
+            "--out", str(d / "e.pfm"), str(d / "w.pfm"), str(d / "m.txt")]
+
+
 class TestFit:
     def test_recovers_lobe(self, tmp_path):
         true = SphericalGaussian(normalize([0.3, -0.1, 0.95]), 9.0,
@@ -500,33 +557,21 @@ class TestEntryPoints:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_import_leaves_scipy_unloaded(self, tmp_path):
-        """Only fit_visibility and match_lobes import scipy, on use: importing
-        the CLI, metrics g5 and fit leave it unloaded."""
-        rng = np.random.default_rng(5)
-        ref = rng.uniform(0.1, 2.0, size=(4, 4, 3)).astype(np.float32)
-        write_pfm(tmp_path / "a.pfm", (1.3 * ref).astype(np.float32))
-        write_pfm(tmp_path / "b.pfm", ref)
-        lobe = SphericalGaussian(normalize([0.3, -0.1, 0.95]), 9.0, [1.2, 0.8, 0.5])
-        target = decode_env(SgEnvironment((lobe,)), rows=8, cols=16)
-        write_pfm(tmp_path / "t.pfm", target.data.astype(np.float32))
-        code = (
-            "import sys\n"
-            "from sglight.cli import main\n"
-            "a, b, t, out = sys.argv[1:]\n"
-            "print('scipy' in sys.modules)\n"
-            "assert main(['metrics', a, b, '--metric', 'g5']) == 0\n"
-            "assert main(['fit', t, '--lobes', '1', '--out', out]) == 0\n"
-            "print('scipy' in sys.modules)\n"
-        )
-        paths = [str(tmp_path / n) for n in ("a.pfm", "b.pfm", "t.pfm", "lobes.txt")]
-        proc = subprocess.run([sys.executable, "-c", code, *paths],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        before, value, after = proc.stdout.split()
-        assert before == after == "False"
-        assert float(value) >= 0.0
-        assert (tmp_path / "lobes.txt").read_text().count("\n") == 2
+    def test_bare_import_loads_no_compute_module(self):
+        """Importing the CLI loads only the parser's modules."""
+        loaded = _modules_after("pass")
+        assert loaded == (sorted(_CLI_MODULES), [])
+
+    @pytest.mark.parametrize("command", list(_COMMAND_IMPORTS))
+    def test_command_imports_only_its_modules(self, command, tmp_path):
+        """Each command, run in a fresh interpreter, loads exactly the
+        sglight modules it runs; scipy stays unloaded (only fit_visibility
+        and match_lobes import it, on use), and the thread pool and csv
+        load only for render --threads and bench-order."""
+        extra, others = _COMMAND_IMPORTS[command]
+        argv = _probe_argv(command, tmp_path)
+        loaded = _modules_after(f"assert main({argv!r}) == 0")
+        assert loaded == (sorted(_CLI_MODULES | {f"sglight.{m}" for m in extra}), others)
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
