@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .sg import _frozen
+
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -35,16 +37,12 @@ class TokenSequence:
     tokens: np.ndarray
 
     def __post_init__(self):
-        target = np.array(self.target, dtype=np.float64)
-        tokens = np.array(self.tokens, dtype=np.float64)
+        target = _frozen(self.target, "target")
+        tokens = _frozen(self.tokens, "tokens")
         if target.ndim != 1:
             raise ValueError("target must be a vector")
         if tokens.ndim != 2 or tokens.shape[1] != target.shape[0]:
             raise ValueError("tokens must be (K, d) matching the target")
-        if not (np.all(np.isfinite(target)) and np.all(np.isfinite(tokens))):
-            raise ValueError("token data must be finite")
-        target.flags.writeable = False
-        tokens.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "tokens", tokens)
 
@@ -67,12 +65,9 @@ class AttentionParams:
 
     def __post_init__(self):
         for name in ("wq", "wk", "wv"):
-            m = np.array(getattr(self, name), dtype=np.float64)
+            m = _frozen(getattr(self, name), name)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} must be finite")
-            m.flags.writeable = False
             object.__setattr__(self, name, m)
         if not (self.wq.shape == self.wk.shape == self.wv.shape):
             raise ValueError("projections must share one width")

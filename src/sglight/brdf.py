@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, _pixel_visibility, mixture_radiance
+from .sg import SgEnvironment, _as_unit, _frozen, _pixel_visibility, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
@@ -42,38 +42,20 @@ class GBuffer:
     confidence: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        albedo = np.array(self.albedo, dtype=np.float64)
-        rough = np.array(self.roughness, dtype=np.float64)
-        normal = np.array(self.normal, dtype=np.float64)
-        depth = np.array(self.depth, dtype=np.float64)
+        albedo = _frozen(self.albedo, "albedo", 0.0, 1.0)
         if albedo.ndim != 3 or albedo.shape[2] != 3:
-            raise ValueError("albedo must be (H, W, 3)")
+            raise ValueError(f"albedo must be (H, W, 3), got {albedo.shape}")
         shape = albedo.shape[:2]
-        if rough.shape != shape or depth.shape != shape:
-            raise ValueError("roughness and depth must be (H, W)")
-        if normal.shape != shape + (3,):
-            raise ValueError("normal must be (H, W, 3)")
-        for name, arr in (("albedo", albedo), ("roughness", rough),
-                          ("normal", normal), ("depth", depth)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(albedo < 0.0) or np.any(albedo > 1.0):
-            raise ValueError("albedo must lie in [0, 1]")
-        if np.any(rough < 0.0) or np.any(rough > 1.0):
-            raise ValueError("roughness must lie in [0, 1]")
+        rough = _frozen(self.roughness, "roughness", 0.0, 1.0, shape)
+        normal = _frozen(self.normal, "normal", shape=shape + (3,))
+        depth = _frozen(self.depth, "depth", shape=shape)
         if np.any(np.abs(np.linalg.norm(normal, axis=-1) - 1.0) > NORMAL_TOL):
             raise ValueError("normals must be unit length")
         if np.any(depth <= 0.0):
             raise ValueError("depth must be > 0")
         conf = self.confidence
         if conf is not None:
-            conf = np.asarray(conf, dtype=np.float64)
-            if conf.shape != shape:
-                raise ValueError("confidence must be (H, W)")
-            if not np.all(np.isfinite(conf)):
-                raise ValueError("confidence must be finite")
-        for arr in (albedo, rough, normal, depth):
-            arr.flags.writeable = False
+            conf = _frozen(conf, "confidence", shape=shape)
         object.__setattr__(self, "albedo", albedo)
         object.__setattr__(self, "roughness", rough)
         object.__setattr__(self, "normal", normal)

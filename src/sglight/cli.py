@@ -93,11 +93,8 @@ def _require(scene, what: str):
 def _cmd_fit(args) -> int:
     from .envmap import EnvironmentMap
     from .sgfit import FitConfig, fit_sg
-    data = read_pfm(args.target)
-    if data.ndim != 3:
-        raise CliError("fit target must be a 3-channel PFM")
     result = fit_sg(
-        EnvironmentMap(np.asarray(data, dtype=np.float64)),
+        EnvironmentMap(read_pfm(args.target)),
         FitConfig(num_lobes=args.lobes, max_iterations=args.max_iterations),
     )
     # one line per packed lobe row: ax ay az sharpness ir ig ib
@@ -201,11 +198,9 @@ def _cmd_reproject(args) -> int:
                             multiview_weight)
     from .scene import parse_scene
     scene = parse_scene(args.scene)
-    if len(scene.cameras) < 2:
-        raise CliError("reproject needs at least two cameras")
     mvs = MultiViewSet(tuple(scene.cameras), target=args.target)
     tview = mvs.views[args.target]
-    if tview.depth is None:
+    if tview.depth is None:  # the pixel grid below is sized by the depth map
         raise CliError(f"camera {args.target} has no depth map")
     h, w = tview.depth.shape
     k = len(mvs)
@@ -229,8 +224,6 @@ def _cmd_metrics(args) -> int:
         print(f"{value:.17g}")
         return 0
     b = np.asarray(read_pfm(args.b), dtype=np.float64)
-    if a.shape != b.shape:
-        raise CliError("images must share a shape")
     if args.mask is not None:
         mask = np.asarray(read_pfm(args.mask), dtype=np.float64)
         if mask.ndim != 2:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sg import SgEnvironment, _pixel_visibility, mixture_radiance, spherical_to_unit
+from .sg import SgEnvironment, _frozen, _pixel_visibility, mixture_radiance, spherical_to_unit
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,9 @@ class HdrImage:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
+        data = _frozen(self.data, "HdrImage data", lo=0.0)
         if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError("HdrImage data must be (H, W, 3)")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("HdrImage data must be finite")
-        if np.any(data < 0.0):
-            raise ValueError("HdrImage data must be >= 0")
-        data.flags.writeable = False
+            raise ValueError(f"HdrImage data must be (H, W, 3), got {data.shape}")
         object.__setattr__(self, "data", data)
 
     @property
@@ -44,16 +39,11 @@ class EnvironmentMap:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
+        data = _frozen(self.data, "environment map", lo=0.0)
         if data.ndim != 3 or data.shape[2] != 3:
-            raise ValueError("environment map must be (rows, cols, 3)")
+            raise ValueError(f"environment map must be (rows, cols, 3), got {data.shape}")
         if data.shape[0] < 2 or data.shape[1] < 4:
             raise ValueError("environment map needs >= 2 rows and >= 4 cols")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("environment map must be finite")
-        if np.any(data < 0.0):
-            raise ValueError("environment map must be >= 0")
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @property

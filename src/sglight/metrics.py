@@ -35,6 +35,13 @@ def _pair(pred, ref, mask):
     return a, b, _mask_for(a, mask)
 
 
+def _log_pair(pred, ref, mask):
+    a, b, m = _pair(pred, ref, mask)
+    if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
+        raise ValueError("log-domain metrics need nonnegative inputs")
+    return a, b, m
+
+
 def lsq_scale(pred, ref, mask) -> float:
     """Scalar tau minimizing ||(tau * pred - ref) * mask||^2.
 
@@ -54,13 +61,10 @@ def g1_angular(pred, ref, mask) -> float:
     b = np.asarray(ref, dtype=np.float64)
     if a.shape != b.shape or a.shape[-1] != 3:
         raise ValueError("inputs must be matching (..., 3) vector fields")
-    mask = np.asarray(mask)
-    if mask.shape != a.shape[:-1]:
+    if np.ndim(mask) != a.ndim - 1:
         raise ValueError("mask must have one entry per pixel")
-    m = mask != 0
-    if not np.any(m):
-        raise ValueError("mask excludes every pixel")
-    dots = np.sum(a * b, axis=-1)[m]
+    dots = np.sum(a * b, axis=-1)
+    dots = dots[_mask_for(dots, mask)]
     if np.any(np.abs(dots) > 1.0 + DOT_TOL):
         raise ValueError("dot products exceed unit range beyond tolerance")
     return float(np.mean(np.arccos(np.clip(dots, -1.0, 1.0))))
@@ -80,9 +84,7 @@ def g3_scaled_mse(pred, ref, mask) -> float:
 
 def g4_log_mse(pred, ref, mask) -> float:
     """Masked MSE in the log domain, log(x + 1)."""
-    a, b, m = _pair(pred, ref, mask)
-    if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
-        raise ValueError("log-domain metrics need nonnegative inputs")
+    a, b, m = _log_pair(pred, ref, mask)
     return float(np.mean(((np.log1p(a) - np.log1p(b)) ** 2)[m]))
 
 
@@ -151,13 +153,8 @@ def g5_scaled_log_mse(pred, ref, mask) -> float:
     scale and tau = 1 are also evaluated and the best kept, so the result
     never exceeds g4.
     """
-    a, b, m = _pair(pred, ref, mask)
-    if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
-        raise ValueError("log-domain metrics need nonnegative inputs")
-    denom = float(np.sum((a * a)[m]))
-    if denom == 0.0:
-        raise ValueError("masked prediction energy is zero")
-    tau_lin = float(np.sum((a * b)[m]) / denom)
+    a, b, m = _log_pair(pred, ref, mask)
+    tau_lin = lsq_scale(a, b, m)
     candidates = [0.0]
     if tau_lin > 0.0:
         candidates.append(np.log(tau_lin))

@@ -61,6 +61,9 @@ class CameraView:
         trans = np.array(self.translation, dtype=np.float64)
         if rot.shape != (3, 3) or trans.shape != (3,):
             raise ValueError("pose must be a (3, 3) rotation and 3-vector")
+        params = np.r_[self.fx, self.fy, self.cx, self.cy, rot.ravel(), trans]
+        if not np.all(np.isfinite(params)):
+            raise ValueError("intrinsics and pose must be finite")
         if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6:
             raise ValueError("rotation must be orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
@@ -78,6 +81,7 @@ class CameraView:
                 shape = (self.height, self.width) + ((3,) if name == "image" else ())
                 if arr.shape != shape:
                     raise ValueError(f"camera {name} map is {arr.shape}, not {shape}")
+                arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
 
     @property
@@ -128,7 +132,7 @@ class MultiViewSet:
     def __post_init__(self):
         views = tuple(self.views)
         if len(views) < 2:
-            raise ValueError("need at least two views")
+            raise ValueError("a view set needs at least two cameras")
         for view in views:
             if not isinstance(view, CameraView):
                 raise TypeError("views must be CameraView instances")
@@ -224,15 +228,20 @@ def depth_projection_error(mvs: MultiViewSet, target_pixel) -> np.ndarray:
     return depth_projection_errors(mvs, (target_pixel[0], target_pixel[1]))
 
 
+def _errors(errors) -> np.ndarray:
+    e = np.asarray(errors, dtype=np.float64)
+    if np.any(np.isnan(e)) or np.any(e < 0.0):
+        raise ValueError("errors must be >= 0")
+    return e
+
+
 def multiview_weight(errors, cap: float = WEIGHT_CAP, base: str = "e") -> np.ndarray:
     """w = max(-log e, 0), capped, L1 normalized; uniform when all zero.
 
     Each row of errors (..., K) is normalized on its own. base selects the
     natural log (default) or base 10 ("10").
     """
-    e = np.asarray(errors, dtype=np.float64)
-    if np.any(np.isnan(e)) or np.any(e < 0.0):
-        raise ValueError("errors must be >= 0")
+    e = _errors(errors)
     with np.errstate(divide="ignore"):
         raw = -np.log(e) if base == "e" else -np.log10(e) if base == "10" else None
     if raw is None:
@@ -250,9 +259,7 @@ def multiview_mask(errors, threshold: float = MASK_THRESHOLD) -> np.ndarray:
 
     The comparison is strict, so e_k exactly at the threshold is dropped.
     """
-    e = np.asarray(errors, dtype=np.float64)
-    if np.any(np.isnan(e)) or np.any(e < 0.0):
-        raise ValueError("errors must be >= 0")
+    e = _errors(errors)
     return np.concatenate([np.ones_like(e[..., :1]), e < threshold], axis=-1).astype(np.int64)
 
 

@@ -16,8 +16,9 @@ format version header "sgscene 1". Sections:
                   seed: 0       (ignored; still read so older files load)
 
 Referenced files are resolved against the scene file's directory and
-must exist. Cameras must be numbered 0..K-1. Parse errors carry the
-line number.
+must exist. Cameras must be numbered 0..K-1. Every value must be a
+finite number. Parse errors carry the line number; the array checks are
+left to the constructors the loaded maps are handed to.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
     from .vsg import VsgVolume
 
 VERSION_HEADER = "sgscene 1"
+GBUFFER_KEYS = ("albedo", "roughness", "normal", "depth", "confidence")
 
 
 class SceneError(ValueError):
@@ -65,9 +67,12 @@ def _floats(text: str, count: int, line: int, what: str):
     if len(parts) != count:
         raise SceneError(f"{what} needs {count} values, got {len(parts)}", line)
     try:
-        return [float(v) for v in parts]
+        vals = [float(v) for v in parts]
     except ValueError:
         raise SceneError(f"{what} values must be numbers", line) from None
+    if not np.all(np.isfinite(vals)):
+        raise SceneError(f"{what} values must be finite", line)
+    return vals
 
 
 def _ints(text: str, count: int, line: int, what: str):
@@ -83,20 +88,6 @@ def _resolve(path: str, base: str, line: int) -> str:
     if not os.path.isfile(full):
         raise SceneError(f"referenced file does not exist: {path}", line)
     return full
-
-
-def _load_gray(path: str) -> np.ndarray:
-    data = pfm.read_pfm(path)
-    if data.ndim != 2:
-        raise ValueError(f"{os.path.basename(path)} must be a grayscale PFM")
-    return np.asarray(data, dtype=np.float64)
-
-
-def _load_rgb(path: str) -> np.ndarray:
-    data = pfm.read_pfm(path)
-    if data.ndim != 3:
-        raise ValueError(f"{os.path.basename(path)} must be a 3-channel PFM")
-    return np.asarray(data, dtype=np.float64)
 
 
 def parse_scene(path: str) -> Scene:
@@ -160,7 +151,7 @@ def parse_scene(path: str) -> Scene:
             else:
                 raise SceneError(f"unknown camera key {key!r}", num)
         elif section == "gbuffer":
-            if key not in ("albedo", "roughness", "normal", "depth", "confidence"):
+            if key not in GBUFFER_KEYS:
                 raise SceneError(f"unknown gbuffer key {key!r}", num)
             gbuffer_entries[key] = _resolve(value, base, num)
         elif section == "lighting":
@@ -215,29 +206,19 @@ def parse_scene(path: str) -> Scene:
                 translation=pose[:, 3],
                 width=cam["size"][0],
                 height=cam["size"][1],
-                image=_load_rgb(cam["image"]) if "image" in cam else None,
-                depth=_load_gray(cam["depth"]) if "depth" in cam else None,
-                confidence=_load_gray(cam["confidence"]) if "confidence" in cam else None,
+                **{key: pfm.read_pfm(cam[key])
+                   for key in ("image", "depth", "confidence") if key in cam},
             )
         )
 
     gbuffer = None
     if gbuffer_entries:
-        for req in ("albedo", "roughness", "normal", "depth"):
+        for req in GBUFFER_KEYS[:4]:  # confidence is optional
             if req not in gbuffer_entries:
                 raise SceneError(f"gbuffer lacks {req}", 1)
         from .brdf import GBuffer
-        gbuffer = GBuffer(
-            albedo=_load_rgb(gbuffer_entries["albedo"]),
-            roughness=_load_gray(gbuffer_entries["roughness"]),
-            normal=_load_rgb(gbuffer_entries["normal"]),
-            depth=_load_gray(gbuffer_entries["depth"]),
-            confidence=(
-                _load_gray(gbuffer_entries["confidence"])
-                if "confidence" in gbuffer_entries
-                else None
-            ),
-        )
+        gbuffer = GBuffer(**{key: pfm.read_pfm(gbuffer_entries[key]) for key in GBUFFER_KEYS
+                             if key in gbuffer_entries})
 
     lighting = None
     if lighting_lobes:

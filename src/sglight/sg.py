@@ -67,9 +67,22 @@ def _as_unit(v) -> np.ndarray:
     return v
 
 
-def _finite(a, name):
+def _frozen(value, name, lo=None, hi=None, shape=None) -> np.ndarray:
+    """A read-only float64 copy of value, of the given shape, finite, in [lo, hi].
+
+    The one helper constructors check and freeze their array inputs with;
+    writing to the caller's array afterwards cannot reach the copy.
+    """
+    a = np.array(value, dtype=np.float64)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
+    if (lo is not None and np.any(a < lo)) or (hi is not None and np.any(a > hi)):
+        bound = f"be >= {lo:g}" if hi is None else f"lie in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must {bound}")
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -81,23 +94,11 @@ class SphericalGaussian:
     intensity: np.ndarray
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=np.float64)
-        if axis.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        _finite(axis, "axis")
+        axis = _frozen(self.axis, "axis", shape=(3,))
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
             raise ValueError("axis must be unit length")
-        sharp = float(self.sharpness)
-        if not np.isfinite(sharp) or sharp < 0.0:
-            raise ValueError("sharpness must be finite and >= 0")
-        inten = np.array(self.intensity, dtype=np.float64)
-        if inten.shape != (3,):
-            raise ValueError("intensity must be RGB")
-        _finite(inten, "intensity")
-        if np.any(inten < 0.0):
-            raise ValueError("intensity must be >= 0")
-        axis.flags.writeable = False
-        inten.flags.writeable = False
+        sharp = float(_frozen(self.sharpness, "sharpness", lo=0.0, shape=()))
+        inten = _frozen(self.intensity, "intensity", lo=0.0, shape=(3,))
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "sharpness", sharp)
         object.__setattr__(self, "intensity", inten)
@@ -131,10 +132,9 @@ class SgEnvironment:
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
         if self.visibility is not None:
-            vis = np.asarray(self.visibility, dtype=np.float64)
-            if vis.shape[-1] != len(lobes):
+            vis = _frozen(self.visibility, "visibility")
+            if vis.shape[-1:] != (len(lobes),):
                 raise ValueError("visibility last axis must match lobe count")
-            _finite(vis, "visibility")
             vis = np.clip(vis, 0.0, 1.0)
             vis.flags.writeable = False
             object.__setattr__(self, "visibility", vis)

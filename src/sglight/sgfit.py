@@ -33,34 +33,28 @@ from .sg import (
 
 # floor applied to initial intensities before taking logs
 LOG_FLOOR = 1e-8
+# converged means: an accepted step dropped the objective by less than
+# TOLERANCE (relative), or no damped step could improve it at all
+TOLERANCE = 1e-12
+# the LM damping factor starts at DAMPING_INIT and multiplies by
+# DAMPING_GROWTH after a rejected step, by DAMPING_SHRINK after an accepted one
+DAMPING_INIT = 1e-3
+DAMPING_GROWTH = 4.0
+DAMPING_SHRINK = 0.25
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit settings.
-
-    tolerance is the relative objective decrease below which an accepted
-    step counts as converged. damping_* define the LM schedule: the
-    damping factor starts at damping_init, multiplies by damping_growth
-    after a rejected step and by damping_shrink after an accepted one.
-    """
+    """Fit settings: the lobe count and the cap on LM iterations."""
 
     num_lobes: int = 3
     max_iterations: int = 200
-    # converged means: an accepted step dropped the objective by less than
-    # tolerance (relative), or no damped step could improve it at all
-    tolerance: float = 1e-12
-    damping_init: float = 1e-3
-    damping_growth: float = 4.0
-    damping_shrink: float = 0.25
 
     def __post_init__(self):
         if self.num_lobes < 1:
             raise ValueError("num_lobes must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.damping_growth > 1.0 and 0.0 < self.damping_shrink < 1.0):
-            raise ValueError("damping schedule must grow > 1 and shrink in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     r, pred = _objective_parts(p, dirs, tgt, sqrt_w)
     loss = float(r @ r)
     trace = [loss]
-    damping = config.damping_init
+    damping = DAMPING_INIT
     iterations = 0
     converged = False
 
@@ -212,7 +206,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
             try:
                 step = np.linalg.solve(h + damping * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                damping *= config.damping_growth
+                damping *= DAMPING_GROWTH
                 continue
             p_try = p + step.reshape(p.shape)
             r_try, pred_try = _objective_parts(p_try, dirs, tgt, sqrt_w)
@@ -221,10 +215,10 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
                 rel_drop = (loss - loss_try) / max(loss, 1e-300)
                 p, r, pred = p_try, r_try, pred_try
                 loss = loss_try
-                damping = max(damping * config.damping_shrink, 1e-12)
+                damping = max(damping * DAMPING_SHRINK, 1e-12)
                 accepted = True
                 break
-            damping *= config.damping_growth
+            damping *= DAMPING_GROWTH
             if damping > 1e14:
                 break
         if not accepted:
@@ -233,7 +227,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
             break
         iterations += 1
         trace.append(loss)
-        if rel_drop < config.tolerance or loss == 0.0:
+        if rel_drop < TOLERANCE or loss == 0.0:
             converged = True
             break
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sg import lobe_values, sg_radiance
+from .sg import _frozen, lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
@@ -42,24 +42,17 @@ class VsgVolume:
     bbox_max: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
+        data = _frozen(self.data, "volume data")
         if data.ndim != 4 or data.shape[3] != 8 or 0 in data.shape[:3]:
             raise ValueError("volume data must be (X, Y, Z, 8) with X, Y, Z >= 1")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("volume data must be finite")
         if np.any(data[..., 0] < 0.0) or np.any(data[..., 0] > 1.0):
             raise ValueError("alpha channel must lie in [0, 1]")
         if np.any(data[..., 7] < 0.0):
             raise ValueError("sharpness channel must be >= 0")
-        lo = np.array(self.bbox_min, dtype=np.float64)
-        hi = np.array(self.bbox_max, dtype=np.float64)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ValueError("bbox corners must be 3-vectors")
+        lo = _frozen(self.bbox_min, "bbox_min", shape=(3,))
+        hi = _frozen(self.bbox_max, "bbox_max", shape=(3,))
         if np.any(hi <= lo):
             raise ValueError("bbox_max must exceed bbox_min on every axis")
-        data.flags.writeable = False
-        lo.flags.writeable = False
-        hi.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "bbox_min", lo)
         object.__setattr__(self, "bbox_max", hi)

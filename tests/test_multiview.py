@@ -1,5 +1,7 @@
 """Cameras, cross-view consistency, weights/masks, and surface splatting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,7 +226,11 @@ class TestBatchedReprojection:
     def test_pixel_list_and_nan_depth(self):
         """Any leading shape works; a NaN target depth gives an inf row."""
         mvs = posed_views(size=5, target=0)
-        mvs.views[0].depth[2, 3] = np.nan
+        views = list(mvs.views)
+        depth = views[0].depth.copy()
+        depth[2, 3] = np.nan
+        views[0] = dataclasses.replace(views[0], depth=depth)
+        mvs = dataclasses.replace(mvs, views=tuple(views))
         pixels = np.array([[2, 3], [0, 0], [4, 1]])
         batched = depth_projection_errors(mvs, pixels)
         loop = np.array([depth_projection_error(mvs, tuple(p)) for p in pixels])
@@ -233,7 +239,11 @@ class TestBatchedReprojection:
 
     def test_single_hole_still_raises(self):
         mvs = posed_views()
-        mvs.views[mvs.target].depth[5, 2] = 0.0
+        views = list(mvs.views)
+        depth = views[mvs.target].depth.copy()
+        depth[5, 2] = 0.0
+        views[mvs.target] = dataclasses.replace(views[mvs.target], depth=depth)
+        mvs = dataclasses.replace(mvs, views=tuple(views))
         with pytest.raises(ValueError, match="target pixel has no valid depth"):
             depth_projection_errors(mvs, self.pixels(8))
         with pytest.raises(ValueError, match="target pixel has no valid depth"):

@@ -172,6 +172,18 @@ class TestErrors:
             parse_scene(scene_file)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("section,key", [("render", "resolution"),
+                                             ("render", "quadrature"),
+                                             ("camera.0", "size")])
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+    def test_non_finite_integers(self, tmp_path, section, key, value):
+        """Values int() cannot convert are a SceneError on their line."""
+        scene_file = tmp_path / "scene.txt"
+        scene_file.write_text(f"sgscene 1\n[{section}]\n{key}: 4 {value}\n")
+        with pytest.raises(SceneError, match="finite") as exc:
+            parse_scene(scene_file)
+        assert exc.value.line == 3
+
     def test_content_before_section(self, tmp_path):
         scene_file = tmp_path / "scene.txt"
         scene_file.write_text("sgscene 1\nresolution: 4 4\n")

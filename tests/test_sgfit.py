@@ -241,8 +241,6 @@ class TestFitRecovery:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(num_lobes=0)
-        with pytest.raises(ValueError):
-            FitConfig(damping_shrink=1.5)
 
 
 class TestMatching:
