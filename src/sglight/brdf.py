@@ -22,7 +22,7 @@ from .sg import SgEnvironment, _as_unit, _frozen, _pixel_visibility, mixture_rad
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
-# pixel-nodes shaded at once; a (pixels, M) float64 temporary is 1 MB
+# pixel-nodes per chunk; each reused (pixels, M) float64 chunk buffer is 1 MiB
 CHUNK_NODES = 1 << 17
 
 
@@ -150,11 +150,13 @@ def hemisphere_grid(resolution=(32, 64), mode: str = "equal_area"):
     return np.stack([x, y, np.repeat(u, cos_phi.size)], axis=-1), w
 
 
-def ggx_ndf(cos_h, alpha):
-    """GGX normal distribution D for cos_h = n . h and ndf alpha."""
+def ggx_ndf(cos_h, alpha, out=None):
+    """GGX normal distribution D for cos_h = n . h and ndf alpha; given
+    out, D goes there and the array cos_h, of D's shape, is overwritten."""
     a2 = alpha * alpha
-    d = cos_h * cos_h * (a2 - 1.0) + 1.0
-    return a2 / (np.pi * d * d)
+    buf = None if out is None else cos_h
+    d = np.add(np.multiply(np.multiply(cos_h, cos_h, out=buf), a2 - 1.0, out=buf), 1.0, out=buf)
+    return np.divide(a2, np.multiply(np.multiply(np.pi, d, out=out), d, out=out), out=out)
 
 
 def _smith_lambda(cos_t, alpha):
@@ -168,10 +170,12 @@ def smith_g2(cos_v, cos_l, alpha):
     return 1.0 / (1.0 + _smith_lambda(cos_v, alpha) + _smith_lambda(cos_l, alpha))
 
 
-def schlick_fresnel(cos_vh, f0: float = F0_DEFAULT):
-    """F = f0 + (1 - f0) * (1 - cos)^5."""
-    c = np.clip(cos_vh, 0.0, 1.0)
-    return f0 + (1.0 - f0) * (1.0 - c) ** 5
+def schlick_fresnel(cos_vh, f0: float = F0_DEFAULT, out=None):
+    """F = f0 + (1 - f0) * (1 - cos)^5, into out (which may be cos_vh)."""
+    c = np.subtract(1.0, np.clip(cos_vh, 0.0, 1.0, out=out), out=out)
+    c **= 5  # in place on arrays; scalars keep their scalar power
+    c *= 1.0 - f0
+    return np.add(c, f0, out=out)
 
 
 def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
@@ -213,8 +217,8 @@ def shading(
     return np.einsum("mc,m,m->c", radiance, w, local[:, 2])
 
 
-def _grid_dot(coef, grid, offset):
-    """coef . l + offset at every node l of grid: (p, 3), (p,) -> (p, M).
+def _grid_dot(coef, grid, offset, out):
+    """coef . l + offset at every node l of grid into out: (p, 3), (p,) -> (p, M).
 
     Node (i, j) is l = (st_i cos phi_j, st_i sin phi_j, u_i), so this is
     st_i ring[p, j] + band[p, i], two element-wise passes over (p, M).
@@ -223,31 +227,36 @@ def _grid_dot(coef, grid, offset):
     st, u, cos_phi, sin_phi = grid
     ring = np.multiply.outer(coef[:, 0], cos_phi) + np.multiply.outer(coef[:, 1], sin_phi)
     band = np.multiply.outer(coef[:, 2], u) + np.reshape(offset, (-1, 1))
-    out = ring[:, None, :] * st[:, None]
-    out += band[:, :, None]
-    return out.reshape(len(coef), -1)
+    nodes = out.reshape(len(coef), st.size, cos_phi.size)  # a view: out is contiguous
+    np.multiply(ring[:, None, :], st[:, None], out=nodes)
+    nodes += band[:, :, None]
+    return out
 
 
-def _shade(env, g, pixels, grid, kernel):
+def _shade(env, g, pixels, grid, kernel, buffers=1):
     """sum_s I_s mu_s sum_m e_s(p, m) k(p, m) over the flat pixel indices.
 
     e_s = exp(lambda_s (a_s . l - 1)) at node l = x t + y b + z n of the
     pixel's frame (t, b, n), from the coefficients lambda_s a_s . (t, b, n).
-    kernel(rows, frame) gives the weights k, (p, M) or (M,), of
-    pixels[rows] with frame (p, 3, 3). CHUNK_NODES bounds memory.
+    kernel(rows, frame, bufs) gives the weights k, (p, M) or (M,), of
+    pixels[rows] with frame (p, 3, 3), and may overwrite the (p, M) bufs; e_s
+    goes to bufs[0], so k may be any other. Every chunk and lobe reuses one
+    (buffers, min(step, P), M) array: memory is `buffers` chunk buffers.
     """
     normals = g.normal.reshape(-1, 3)[pixels]
     mu = _visibility_rows(env, g.shape)
     m = grid[0].size * grid[2].size
     step = max(1, CHUNK_NODES // m)
+    work = np.empty((buffers, min(step, len(normals)), m))
     out = np.zeros((len(normals), 3))
     for start in range(0, len(normals), step):
         rows = slice(start, start + step)
         frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
-        k = np.broadcast_to(kernel(rows, frame), (len(frame), m))
+        k = np.broadcast_to(kernel(rows, frame, work[:, :len(frame)]), (len(frame), m))
+        e = work[0, :len(frame)]
         for s, row in enumerate(env.packed):  # ax ay az sharpness ir ig ib
             lam = row[3]
-            e = _grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]), grid, -lam)
+            _grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]), grid, -lam, e)
             c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
             if mu is not None:
                 c *= mu[pixels[rows], s]
@@ -280,7 +289,7 @@ def render_diffuse(
     h, w = g.shape
     grid, wq = _grid_factors(resolution, mode)
     wz = wq * np.repeat(grid[1], grid[2].size)
-    s = _shade(env, g, np.arange(h * w), grid, lambda rows, frame: wz)
+    s = _shade(env, g, np.arange(h * w), grid, lambda rows, frame, bufs: wz)
     return HdrImage((g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3))
 
 
@@ -312,28 +321,39 @@ def render_specular(
     pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
     alpha = g.roughness.reshape(-1)[pixels, None] ** 2
     grid, wq = _grid_factors(resolution, mode)
-    cos_l = np.repeat(grid[1], grid[2].size)  # n.l in the local frame
 
-    def kernel(rows, frame):
+    def kernel(rows, frame, bufs):
+        e, h0, h1, h2, hn = bufs  # e is free scratch until the lobes run
         vr, cv, a = v[rows], cos_v[rows], alpha[rows]
         # v + l by world axis k, (t_k, b_k, n_k) . l + v_k. At grazing views
         # v.l nears -1: v.v + 2 v.l + |l|^2 would cancel, and GGX would
         # amplify separate roundings of n.v + n.l and |v + l|; n . (v + l)
         # over |v + l| from the same components is flat near n.h = 1.
-        hk = [_grid_dot(frame[:, :, k], grid, vr[:, k]) for k in range(3)]
-        hn = np.sqrt(hk[0] * hk[0] + hk[1] * hk[1] + hk[2] * hk[2])
-        hn = np.where(hn > 1e-12, hn, 1.0)
+        for axis, hk in enumerate((h0, h1, h2)):
+            _grid_dot(frame[:, :, axis], grid, vr[:, axis], hk)
+        np.multiply(h0, h0, out=hn)
+        hn += np.multiply(h1, h1, out=e)
+        hn += np.multiply(h2, h2, out=e)
+        # hn is finite, so this is np.where(hn > 1e-12, hn, 1.0) in place
+        np.copyto(hn, 1.0, where=np.sqrt(hn, out=hn) <= 1e-12)
         n = frame[:, 2]
-        nh = (n[:, 0:1] * hk[0] + n[:, 1:2] * hk[1] + n[:, 2:3] * hk[2]) / hn
+        h0 *= n[:, 0:1]
+        h0 += np.multiply(h1, n[:, 1:2], out=h1)
+        h0 += np.multiply(h2, n[:, 2:3], out=h2)
+        nh = np.clip(np.divide(h0, hn, out=h0), 0.0, 1.0, out=h0)
         # v.h = (v.v + v.l) / |v + l|; Fresnel barely feels its rounding
-        vh = _grid_dot(np.einsum("pjk,pk->pj", frame, vr), grid,
-                       np.einsum("pk,pk->p", vr, vr)) / hn
+        vh = np.divide(_grid_dot(np.einsum("pjk,pk->pj", frame, vr), grid,
+                                 np.einsum("pk,pk->p", vr, vr), h1), hn, out=h1)
         # B * (n.l) with the cosine cancelled against the denominator
-        return (ggx_ndf(np.clip(nh, 0.0, 1.0), a) * smith_g2(cv, cos_l, a)
-                * schlick_fresnel(vh, f0) / (4.0 * cv) * wq)
+        k = ggx_ndf(nh, a, out=h2)
+        by_lat = k.reshape(len(a), grid[1].size, -1)  # a view of k
+        by_lat *= smith_g2(cv, grid[1], a)[:, :, None]  # n.l is the row's u_i
+        k *= schlick_fresnel(vh, f0, out=vh)
+        k /= 4.0 * cv
+        return np.multiply(k, wq, out=k)
 
     img = np.zeros((h * w, 3))
-    img[pixels] = _shade(env, g, pixels, grid, kernel)
+    img[pixels] = _shade(env, g, pixels, grid, kernel, buffers=5)
     return HdrImage(img.reshape(h, w, 3))
 
 

@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sglight", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -49,7 +60,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("render", help="render a scene's gbuffer under SG lighting")
     p.add_argument("scene")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("vsg-trace", help="ray march a volume in one operation order")
     p.add_argument("scene")
@@ -117,8 +128,7 @@ def _cmd_render(args) -> int:
     env = _require(scene, "lighting")
     res = scene.render.quadrature
     diffuse = render_diffuse(g, env, resolution=res).data
-    h = g.shape[0]
-    threads = max(1, args.threads)
+    h, threads = g.shape[0], args.threads
     if threads == 1:
         specular = render_specular(g, env, cam, resolution=res).data
     else:
@@ -136,9 +146,13 @@ def _cmd_render(args) -> int:
             )
             for band, part in parts:
                 specular[band] = part
-    write_pfm(f"{args.out_prefix}_diffuse.pfm", diffuse.astype(np.float32))
-    write_pfm(f"{args.out_prefix}_specular.pfm", specular.astype(np.float32))
-    write_pfm(f"{args.out_prefix}_full.pfm", (diffuse + specular).astype(np.float32))
+    with np.errstate(over="ignore"):  # overflow is reported below
+        images = {kind: img.astype(np.float32) for kind, img in
+                  (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}
+    if not all(np.isfinite(img).all() for img in images.values()):
+        raise CliError("rendered radiance overflows the float32 range of PFM")
+    for kind, img in images.items():
+        write_pfm(f"{args.out_prefix}_{kind}.pfm", img)
     return 0
 
 

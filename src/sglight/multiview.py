@@ -64,7 +64,9 @@ class CameraView:
         params = np.r_[self.fx, self.fy, self.cx, self.cy, rot.ravel(), trans]
         if not np.all(np.isfinite(params)):
             raise ValueError("intrinsics and pose must be finite")
-        if np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6:
+        # an entry above 1 + 1e-6 already breaks orthonormality, and
+        # checking it first keeps rot @ rot.T from overflowing
+        if np.max(np.abs(rot)) > 1.0 + 1e-6 or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6:
             raise ValueError("rotation must be orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
             raise ValueError("rotation must have determinant 1")

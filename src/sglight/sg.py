@@ -23,9 +23,12 @@ UNIT_TOL = 1e-6
 def normalize(v: np.ndarray) -> np.ndarray:
     """Return v scaled to unit length along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero vector")
+    if np.any(np.isinf(n)):
+        raise ValueError("cannot normalize a vector of infinite length")
     return v / n
 
 
@@ -95,7 +98,8 @@ class SphericalGaussian:
 
     def __post_init__(self):
         axis = _frozen(self.axis, "axis", shape=(3,))
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
+        # a component above 1 + UNIT_TOL fails anyway and could overflow the norm
+        if np.any(np.abs(axis) > 1.0 + UNIT_TOL) or abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
             raise ValueError("axis must be unit length")
         sharp = float(_frozen(self.sharpness, "sharpness", lo=0.0, shape=()))
         inten = _frozen(self.intensity, "intensity", lo=0.0, shape=(3,))

@@ -139,6 +139,85 @@ def reference_render(g, env, cam, resolution, mode):
     return diffuse, specular
 
 
+def allocating_grid_dot(coef, grid, offset):
+    """brdf._grid_dot as it was before the reused chunk workspace."""
+    st, u, cos_phi, sin_phi = grid
+    ring = np.multiply.outer(coef[:, 0], cos_phi) + np.multiply.outer(coef[:, 1], sin_phi)
+    band = np.multiply.outer(coef[:, 2], u) + np.reshape(offset, (-1, 1))
+    out = ring[:, None, :] * st[:, None]
+    out += band[:, :, None]
+    return out.reshape(len(coef), -1)
+
+
+def allocating_render(g, env, cam, resolution, mode):
+    """The chunked diffuse and specular renderers as they were before the
+    reused chunk workspace: fresh (p, M) temporaries for every lobe and
+    kernel factor, the BRDF factors on (p, M), and frozen copies of the
+    GGX D, Smith G2 and Schlick F formulas. Chunks of brdf.CHUNK_NODES."""
+    def ndf(cos_h, alpha):
+        a2 = alpha * alpha
+        d = cos_h * cos_h * (a2 - 1.0) + 1.0
+        return a2 / (np.pi * d * d)
+
+    def smith_lambda(cos_t, alpha):
+        c = np.clip(cos_t, 1e-9, 1.0)
+        tan2 = (1.0 - c * c) / (c * c)
+        return 0.5 * (-1.0 + np.sqrt(1.0 + alpha * alpha * tan2))
+
+    def fresnel(cos_vh):
+        c = np.clip(cos_vh, 0.0, 1.0)
+        return F0_DEFAULT + (1.0 - F0_DEFAULT) * (1.0 - c) ** 5
+
+    def shade(pixels, grid, kernel):
+        normals = g.normal.reshape(-1, 3)[pixels]
+        mu = env.visibility.reshape(-1, env.num_lobes)
+        m = grid[0].size * grid[2].size
+        step = max(1, brdf.CHUNK_NODES // m)
+        out = np.zeros((len(normals), 3))
+        for start in range(0, len(normals), step):
+            rows = slice(start, start + step)
+            frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
+            k = np.broadcast_to(kernel(rows, frame), (len(frame), m))
+            for s, row in enumerate(env.packed):
+                lam = row[3]
+                e = allocating_grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]),
+                                        grid, -lam)
+                c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
+                c *= mu[pixels[rows], s]
+                out[rows] += c[:, None] * row[4:]
+        return out
+
+    h, w = g.shape
+    grid, wq = brdf._grid_factors(resolution, mode)
+    wz = wq * np.repeat(grid[1], grid[2].size)
+    s = shade(np.arange(h * w), grid, lambda rows, frame: wz)
+    diffuse = (g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3)
+
+    pixels = np.arange(h * w)
+    v = brdf._view_dirs(g, cam).reshape(-1, 3)
+    cos_v = np.einsum("pk,pk->p", g.normal.reshape(-1, 3), v)
+    front = cos_v > 0.0
+    pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
+    alpha = g.roughness.reshape(-1)[pixels, None] ** 2
+    cos_l = np.repeat(grid[1], grid[2].size)
+
+    def kernel(rows, frame):
+        vr, cv, a = v[rows], cos_v[rows], alpha[rows]
+        hk = [allocating_grid_dot(frame[:, :, k], grid, vr[:, k]) for k in range(3)]
+        hn = np.sqrt(hk[0] * hk[0] + hk[1] * hk[1] + hk[2] * hk[2])
+        hn = np.where(hn > 1e-12, hn, 1.0)
+        n = frame[:, 2]
+        nh = (n[:, 0:1] * hk[0] + n[:, 1:2] * hk[1] + n[:, 2:3] * hk[2]) / hn
+        vh = allocating_grid_dot(np.einsum("pjk,pk->pj", frame, vr), grid,
+                                 np.einsum("pk,pk->p", vr, vr)) / hn
+        g2 = 1.0 / (1.0 + smith_lambda(cv, a) + smith_lambda(cos_l, a))
+        return ndf(np.clip(nh, 0.0, 1.0), a) * g2 * fresnel(vh) / (4.0 * cv) * wq
+
+    specular = np.zeros((h * w, 3))
+    specular[pixels] = shade(pixels, grid, kernel)
+    return diffuse, specular.reshape(h, w, 3)
+
+
 def write_scene(dirpath, cam, g, env, quadrature):
     """Write a scene file (and its float32 maps) for a random_scene."""
     for name, arr in (("albedo", g.albedo), ("rough", g.roughness),
@@ -434,6 +513,36 @@ class TestChunkedRenderers:
             for prefix in ("t1", "t3", "c7"):
                 assert (tmp_path / f"{prefix}_{kind}.pfm").read_bytes() == expected, (
                     prefix, kind)
+
+    @pytest.mark.parametrize("chunk_px", [None, 7])
+    @pytest.mark.parametrize("mode", ["equal_area", "uniform"])
+    def test_bytes_equal_allocating_renderers(self, mode, chunk_px, monkeypatch):
+        """The reused workspace, the in-place D and F and the latitude-only
+        G2 keep every byte of the allocating renderers, with visibility."""
+        cam, g, env = random_scene(13, 11, seed=4)
+        resolution = (12, 24)
+        if chunk_px is not None:
+            monkeypatch.setattr(brdf, "CHUNK_NODES", chunk_px * 12 * 24 + 5)
+        ref_d, ref_s = allocating_render(g, env, cam, resolution, mode)
+        assert ref_s.any() and (ref_s == 0.0).any()
+        assert np.array_equal(render_diffuse(g, env, resolution, mode).data, ref_d)
+        assert np.array_equal(render_specular(g, env, cam, resolution, mode).data, ref_s)
+
+    @pytest.mark.parametrize("renderer, buffers", [("diffuse", 2), ("specular", 8)])
+    def test_peak_memory_is_a_few_chunk_buffers(self, renderer, buffers):
+        """One call reuses a fixed set of chunk buffers, so its traced peak
+        on a 48^2 G-buffer at (32, 64) nodes stays within a few of them."""
+        cam, g, env = random_scene(48, 48, seed=9)
+        tracemalloc.start()
+        try:
+            if renderer == "diffuse":
+                render_diffuse(g, env, resolution=(32, 64))
+            else:
+                render_specular(g, env, cam, resolution=(32, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers * brdf.CHUNK_NODES * 8, peak
 
     @pytest.mark.parametrize("renderer", ["diffuse", "specular"])
     def test_peak_memory_bounded(self, renderer):

@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,18 @@ class TestRender:
         assert "camera" in err
         assert not (tmp_path / "x_specular.pfm").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_threads_below_one_is_usage_error(self, value, tmp_path, capsys):
+        scene = write_wall_scene(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(scene), "--out-prefix", str(tmp_path / "x"),
+                  "--threads", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--threads" in err and value in err
+        assert not (tmp_path / "x_diffuse.pfm").exists()
+
     def test_missing_lighting_fails(self, tmp_path, capsys):
         write_gbuffer(tmp_path)
         scene = tmp_path / "scene.txt"
@@ -271,6 +284,27 @@ class TestRender:
                    str(tmp_path / "x")])
         assert rc == 1
         assert "lighting" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # the axis's length overflows before it is normalized
+    ("sg: 0 0 1 0.0 0.6 0.6 0.6", "sg: 1e300 1e300 -1e300 2 1 1 1", "normalize"),
+    # rot @ rot.T overflows in the orthonormality check
+    ("pose: 1 0 0 0", "pose: 1e300 0 0 0", "orthonormal"),
+    # finite float64 radiance beyond the float32 range of the PFM outputs
+    ("0.6 0.6 0.6", "1e300 1e300 1e300", "float32"),
+])
+def test_overflowing_finite_values_are_one_error_line(old, new, message, tmp_path, capsys):
+    """Finite scene values that overflow give one error line, no warning."""
+    scene = write_wall_scene(tmp_path)
+    scene.write_text(scene.read_text().replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc = main(["render", str(scene), "--out-prefix", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert not list(tmp_path.glob("x_*.pfm"))
 
 
 class TestVsgTrace:

@@ -1,6 +1,7 @@
 """Constructor invariants: read-only float64 copies and rejected non-finite input."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sglight.aggregation import AttentionParams, TokenSequence
 from sglight.brdf import GBuffer
 from sglight.envmap import EnvironmentMap, HdrImage
 from sglight.multiview import CameraView
-from sglight.sg import SgEnvironment, SphericalGaussian
+from sglight.sg import SgEnvironment, SphericalGaussian, normalize
 from sglight.vsg import VsgVolume, load_vsg
 
 
@@ -98,6 +99,19 @@ def test_camera_rejects_non_finite_intrinsics_and_pose(field, index, bad):
         args[field][index] = bad
     with pytest.raises(ValueError):
         CameraView(**args)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SphericalGaussian([1e300, 1e300, -1e300], 2.0, [1.0, 1.0, 1.0]), "unit"),
+    (lambda: normalize(np.array([1e300, 1e300, -1e300])), "infinite length"),
+    (lambda: CameraView(**{**_camera_args(), "rotation": np.diag([1e300, 1.0, 1.0])}),
+     "orthonormal"),
+], ids=["sg-axis", "normalize", "camera-rotation"])
+def test_finite_values_that_overflow_are_rejected_without_warning(build, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
