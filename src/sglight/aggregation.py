@@ -22,7 +22,7 @@ Scores are scaled dot products, q . k / sqrt(d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,10 +115,13 @@ def build_tokens(
     return TokenSequence(target_embedding, tokens)
 
 
-def _scores(params: AttentionParams, query: np.ndarray, rows: np.ndarray):
-    q = params.wq @ query
-    keys = rows @ params.wk.T
-    return keys @ q / np.sqrt(params.width)
+def _attention_probs(seq: TokenSequence, params: AttentionParams, rows: np.ndarray):
+    """Softmax over rows of their scaled dot-product scores against the target."""
+    if params.width != seq.width:
+        raise ValueError("projection width must match token width")
+    s = (rows @ params.wk.T) @ (params.wq @ seq.target) / np.sqrt(params.width)
+    p = np.exp(s - s.max())
+    return p / p.sum()
 
 
 def masked_attention(seq: TokenSequence, params: AttentionParams, mask) -> np.ndarray:
@@ -133,17 +136,8 @@ def masked_attention(seq: TokenSequence, params: AttentionParams, mask) -> np.nd
         raise ValueError("mask must have K+1 entries")
     if mask[0] != 1:
         raise ValueError("the target entry of the mask must be 1")
-    if params.width != seq.width:
-        raise ValueError("projection width must match token width")
-    rows = np.concatenate([seq.target[None, :], seq.tokens], axis=0)
-    keep = np.flatnonzero(mask != 0)
-    rows = rows[keep]
-    s = _scores(params, seq.target, rows)
-    s = s - s.max()
-    p = np.exp(s)
-    p /= p.sum()
-    values = rows @ params.wv.T
-    return p @ values
+    rows = np.concatenate([seq.target[None, :], seq.tokens], axis=0)[np.flatnonzero(mask != 0)]
+    return _attention_probs(seq, params, rows) @ (rows @ params.wv.T)
 
 
 def weighted_attention(
@@ -164,13 +158,7 @@ def weighted_attention(
         raise ValueError("weights must have K entries")
     if np.any(np.isnan(w)) or np.any(w < 0.0):
         raise ValueError("weights must be >= 0")
-    if params.width != seq.width:
-        raise ValueError("projection width must match token width")
-    s = _scores(params, seq.target, seq.tokens)
-    s = s - s.max()
-    p = np.exp(s)
-    p /= p.sum()
-    c = p * w
+    c = _attention_probs(seq, params, seq.tokens) * w
     total = c.sum()
     if total == 0.0:
         out = params.wv @ seq.target

@@ -249,18 +249,20 @@ def _shade(env, g, pixels, grid, kernel, buffers=1):
     step = max(1, CHUNK_NODES // m)
     work = np.empty((buffers, min(step, len(normals)), m))
     out = np.zeros((len(normals), 3))
-    for start in range(0, len(normals), step):
-        rows = slice(start, start + step)
-        frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
-        k = np.broadcast_to(kernel(rows, frame, work[:, :len(frame)]), (len(frame), m))
-        e = work[0, :len(frame)]
-        for s, row in enumerate(env.packed):  # ax ay az sharpness ir ig ib
-            lam = row[3]
-            _grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]), grid, -lam, e)
-            c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
-            if mu is not None:
-                c *= mu[pixels[rows], s]
-            out[rows] += c[:, None] * row[4:]
+    # lobes may overflow float64; HdrImage rejects it (errstate is per thread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(normals), step):
+            rows = slice(start, start + step)
+            frame = np.stack((*onb(normals[rows]), normals[rows]), axis=1)
+            k = np.broadcast_to(kernel(rows, frame, work[:, :len(frame)]), (len(frame), m))
+            e = work[0, :len(frame)]
+            for s, row in enumerate(env.packed):  # ax ay az sharpness ir ig ib
+                lam = row[3]
+                _grid_dot(lam * np.einsum("pjk,k->pj", frame, row[:3]), grid, -lam, e)
+                c = np.einsum("pm,pm->p", np.exp(e, out=e), k)
+                if mu is not None:
+                    c *= mu[pixels[rows], s]
+                out[rows] += c[:, None] * row[4:]
     return out
 
 
@@ -290,7 +292,8 @@ def render_diffuse(
     grid, wq = _grid_factors(resolution, mode)
     wz = wq * np.repeat(grid[1], grid[2].size)
     s = _shade(env, g, np.arange(h * w), grid, lambda rows, frame, bufs: wz)
-    return HdrImage((g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3))
+    with np.errstate(invalid="ignore"):  # albedo 0 times an overflowed s; HdrImage rejects it
+        return HdrImage((g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3))
 
 
 def render_specular(

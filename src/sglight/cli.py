@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -8,7 +8,6 @@ at cell centers. decode_env rasterizes an SG mixture onto such a grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

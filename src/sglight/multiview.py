@@ -19,7 +19,7 @@ with e_k < c_th (0.05 m), always keeping the target itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -278,13 +278,8 @@ def estimate_depth_scale(
     conf = np.asarray(confidence, dtype=np.float64)
     if pred.shape != ref.shape or pred.shape != conf.shape:
         raise ValueError("pred, ref, confidence must share a shape")
-    keep = conf > threshold
-    if not np.any(keep):
-        raise ValueError("no pixel exceeds the confidence threshold")
-    denom = float(np.sum(pred[keep] ** 2))
-    if denom == 0.0:
-        raise ValueError("qualifying prediction energy is zero")
-    return float(np.sum(pred[keep] * ref[keep]) / denom)
+    from .metrics import lsq_scale
+    return lsq_scale(pred, ref, conf > threshold)
 
 
 def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:

@@ -12,7 +12,7 @@ per-pixel visibility factors in [0, 1]. All radiance is linear HDR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _as_unit(v) -> np.ndarray:
     if v.shape[-1] != 3:
         raise ValueError(f"expected 3-vector(s), got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(n - 1.0) > UNIT_TOL):
+    if (np.abs(n - 1.0) > UNIT_TOL).any():  # .any(), not np.any: vsg-trace checks every ray
         raise ValueError("direction is not unit length")
     return v
 

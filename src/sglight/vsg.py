@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sg import _frozen, lobe_values, sg_radiance
+from .sg import _as_unit, _frozen, lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
 # points interpolated at once; a (points, 8) float64 temporary is 256 kB
 CHUNK_POINTS = 1 << 12
+# rays bench_orders draws, samples and composites at once
+BENCH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -180,18 +182,6 @@ def _fields(rec):
     return rec[..., 0], rec[..., 1:4], rec[..., 4:7], rec[..., 7]
 
 
-def _interp_fields(vol: VsgVolume, points, nearest: bool = False):
-    """Interpolate the 8 channels at world points (..., 3) inside the box.
-
-    Returns (alpha, intensity, axis, sharpness) as views of one (..., 8)
-    record array filled by _interp_records, with the axis renormalized.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    rec = np.empty(points.shape[:-1] + (8,))
-    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8), nearest)
-    return _fields(rec)
-
-
 def _march(origins, dirs, t_near, t_far, n_r: int):
     """Midpoints of n_r equal segments of [t_near, t_far] along each ray.
 
@@ -216,17 +206,16 @@ def sample_ray(
     direction = np.asarray(direction, dtype=np.float64)
     if origin.shape != (3,) or direction.shape != (3,):
         raise ValueError("origin and direction must be 3-vectors")
-    nrm = np.linalg.norm(direction)
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError("direction must be unit length")
+    direction = _as_unit(direction)
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     if not hit:
         empty = np.zeros(0)
         return RaySampleSet(origin, direction, empty, empty,
                             np.zeros((0, 3)), np.zeros((0, 3)), empty)
     t, points = _march(origin, direction, t_near, t_far, n_r)
-    alpha, intensity, axis, sharpness = _interp_fields(vol, points, nearest)
-    return RaySampleSet(origin, direction, t, alpha, intensity, axis, sharpness)
+    rec = np.empty((n_r, 8))
+    _interp_records(vol, points, rec, nearest)
+    return RaySampleSet(origin, direction, t, *_fields(rec))
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
@@ -254,22 +243,20 @@ def _composite_after(alpha, intensity, axis, sharpness, l):
     return sg_radiance(agg_int, agg_sharp, agg_axis, -np.asarray(l, dtype=np.float64))
 
 
-def composite_sg_before(samples: RaySampleSet, l) -> np.ndarray:
-    """Per-sample lobe evaluation, then alpha blend. Returns RGB."""
+def _nonempty_fields(samples: RaySampleSet):
     if len(samples) == 0:
         raise ValueError("cannot composite an empty sample set")
-    return _composite_before(
-        samples.alpha, samples.intensity, samples.axis, samples.sharpness, l
-    )
+    return samples.alpha, samples.intensity, samples.axis, samples.sharpness
+
+
+def composite_sg_before(samples: RaySampleSet, l) -> np.ndarray:
+    """Per-sample lobe evaluation, then alpha blend. Returns RGB."""
+    return _composite_before(*_nonempty_fields(samples), l)
 
 
 def composite_sg_after(samples: RaySampleSet, l) -> np.ndarray:
     """Alpha blend the parameters, then one lobe evaluation. Returns RGB."""
-    if len(samples) == 0:
-        raise ValueError("cannot composite an empty sample set")
-    return _composite_after(
-        samples.alpha, samples.intensity, samples.axis, samples.sharpness, l
-    )
+    return _composite_after(*_nonempty_fields(samples), l)
 
 
 def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
@@ -300,18 +287,13 @@ def _sample_batch(vol: VsgVolume, origins, dirs, n_r: int):
 
 
 def bench_orders(
-    vol: VsgVolume,
-    rays: int = 100000,
-    n_r: int = 128,
-    runs: int = 5,
-    seed: int = 0,
-    chunk: int = 1024,
+    vol: VsgVolume, rays: int = 100000, n_r: int = 128, runs: int = 5, seed: int = 0
 ) -> dict:
     """Time both compositing orders on identical sampled records.
 
-    Rays are drawn, sampled and composited chunk rays at a time, so the
-    records held at once are chunk * n_r * 64 bytes (8 MB at the default
-    1024 rays and n_r = 128) however many rays are timed. Sampling is
+    Rays are drawn, sampled and composited BENCH_CHUNK rays at a time, so
+    the records held at once are BENCH_CHUNK * n_r * 64 bytes (8 MB at
+    n_r = 128) however many rays are timed. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
     (rays * n_r for "before", rays for "after") and the median over runs
@@ -324,7 +306,7 @@ def bench_orders(
     t_after = np.zeros(runs)
     done = 0
     while done < rays:
-        n = min(chunk, rays - done)
+        n = min(BENCH_CHUNK, rays - done)
         origins, dirs = _random_rays(vol, n, rng)
         alpha, intensity, axis, sharpness = _sample_batch(vol, origins, dirs, n_r)
         for r in range(runs):

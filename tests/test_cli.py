@@ -307,6 +307,52 @@ def test_overflowing_finite_values_are_one_error_line(old, new, message, tmp_pat
     assert not list(tmp_path.glob("x_*.pfm"))
 
 
+def write_overflow_scene(dirpath, case):
+    """A wall scene whose finite lobe overflows float64 inside a renderer."""
+    if case != "specular":
+        scene = write_wall_scene(dirpath, "sg: 0 0 -1 0.0 1e308 1e308 1e308\n")
+        if case == "zero-albedo":  # 0 * inf in the diffuse pass's albedo product
+            albedo = np.ones((4, 4, 3), dtype=np.float32)
+            albedo[0, 0] = 0.0
+            write_pfm(dirpath / "albedo.pfm", albedo)
+        return scene
+    # the one node of a 1x1 grid, (-sqrt(3)/2, 0, -1/2) in world space, is
+    # pixel (0, 0)'s mirror direction, so GGX at roughness 0.01 peaks there
+    # near 1 / (pi alpha^2); diffuse stays near the lobe's 1e306
+    scene = write_wall_scene(dirpath, "sg: 0 0 -1 0.0 1e306 1e306 1e306\n", quadrature=(1, 1))
+    scene.write_text(scene.read_text().replace(
+        "intrinsics: 20 20 2.0 2.0", f"intrinsics: 1 1 {0.5 + 3.0 ** 0.5!r} 0.5"))
+    write_pfm(dirpath / "rough.pfm", np.full((4, 4), 0.01, dtype=np.float32))
+    return scene
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", ["both", "zero-albedo", "specular"])
+def test_overflow_inside_the_renderers_is_one_error_line(case, threads, tmp_path, capsys):
+    """Lobes that overflow in the shading pass give one error line and no
+    warning, also when the overflow happens in a band thread."""
+    scene = write_overflow_scene(tmp_path, case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        rc = main(["render", str(scene), "--out-prefix", str(tmp_path / "x"),
+                   "--threads", threads])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: HdrImage data must be finite\n", err
+    assert not list(tmp_path.glob("x_*.pfm"))
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys):
+    """numpy refuses the 7 PiB sample array at once, so no memory is touched."""
+    scene = write_volume_scene(tmp_path)
+    rc = main(["vsg-trace", str(scene), "--order", "before", "--nr", "1000000000000000",
+               "--out", str(tmp_path / "o.pfm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.pfm").exists()
+
+
 class TestVsgTrace:
     def test_orders_produce_different_images(self, tmp_path):
         scene = write_volume_scene(tmp_path)

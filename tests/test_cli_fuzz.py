@@ -1,12 +1,19 @@
-"""Fuzzed malformed PFM, VSG and scene files against the CLI contract.
+"""Fuzzed malformed PFM, VSG and scene files and argument vectors against
+the CLI contract.
 
-Each example writes one small, valid input set (4x4 maps, a 2x2x2
+Each file example writes one small, valid input set (4x4 maps, a 2x2x2
 volume, a two-camera scene that every command accepts), breaks exactly
 one file in a way that makes it invalid wherever it is read, and runs a
 command on it in-process. The command must exit 1 or 2 and print exactly
 one `error:` line, with no traceback and no warning (a warning would print
 to stderr too). Every count stays at 16 or less and every file under
 4 KB; the runs are deterministic and bounded at 200 examples in total.
+
+The argument examples run every subcommand on the valid input set with
+flags and values drawn from small ranges, junk strings, unknown flags and
+dropped arguments; each run exits 0 with nothing on stderr, or 1 or 2 with
+one `error:` line. No drawn value starts more than 8 threads, traces more
+than 64 rays of 64 samples or fits more than 4 lobes for 5 iterations.
 """
 
 import contextlib
@@ -17,7 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sglight.cli import main
@@ -298,3 +305,73 @@ def test_malformed_vsg_file(blob, command):
     with tempfile.TemporaryDirectory() as d:
         write_inputs(d, {"vol.vsg": blob})
         check_contract(scene_argv(command), d)
+
+
+JUNK = ["", "x", "-1", "0", "nan", "1e3", "3.5", "0x10", "-", "--", "g7"]
+PATHS = ["{d}/o"] * 3 + ["{d}", "{d}/missing/o"]  # fine, a directory, a missing directory
+PREFIXES = ["{d}/r"] * 3 + ["{d}/missing/r"]
+# unknown flags, then --seed=1 (known to bench-order only) and -h (help, exit 0)
+EXTRA_FLAGS = ["--bogus", "-z", "--outt", "--threads2", "--seed=1", "-h"]
+COUNT = st.integers(-1, 64).map(str)
+# command -> (positional values, [(flag, one value strategy per token)]);
+# these strategies hold the bounds the module docstring states
+ARG_SPECS = {
+    "fit": (["{d}/t.pfm"], [("--lobes", [st.integers(-1, 4).map(str)]),
+                            ("--max-iterations", [st.integers(-1, 5).map(str)]),
+                            ("--out", [st.sampled_from(PATHS)])]),
+    "render": (["{d}/scene.txt"], [("--threads", [st.integers(-1, 8).map(str)]),
+                                   ("--out-prefix", [st.sampled_from(PREFIXES)])]),
+    "vsg-trace": (["{d}/scene.txt"], [("--order", [st.sampled_from(["before", "after"])]),
+                                      ("--nr", [COUNT]), ("--out", [st.sampled_from(PATHS)])]),
+    "bench-order": (["{d}/scene.txt"], [
+        ("--rays", [COUNT]), ("--seed", [COUNT]), ("--out", [st.sampled_from(PATHS)]),
+        ("--nr-sweep", [st.lists(st.integers(-1, 64), min_size=1, max_size=3).map(
+            lambda v: ",".join(map(str, v)))])]),
+    "reproject": (["{d}/scene.txt"], [("--target", [st.integers(-1, 2).map(str)]),
+                                      ("--out", [st.sampled_from(PATHS)] * 3)]),
+    "metrics": (["{d}/a.pfm", "{d}/b.pfm"], [
+        ("--metric", [st.sampled_from(["g1", "g2", "g3", "g4", "g5", "g6"])]),
+        ("--mask", [st.sampled_from(["{d}/mask.pfm", "{d}/t.pfm", "{d}/missing.pfm"])])]),
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand with each argument kept, given a junk value or dropped,
+    in shuffled order, possibly with an extra flag or an unknown command."""
+    command = draw(st.sampled_from(sorted(ARG_SPECS) * 4 + ["bogus", ""]))
+    positionals, flags = ARG_SPECS.get(command, ([], []))
+    groups = []
+    for value in positionals:
+        fate = draw(st.sampled_from(["keep"] * 6 + ["junk", "drop"]))
+        if fate != "drop":
+            groups.append([value if fate == "keep" else draw(st.sampled_from(JUNK))])
+    for flag, values in flags:
+        fate = draw(st.sampled_from(["keep"] * 6 + ["junk", "drop"]))
+        if fate != "drop":
+            groups.append([flag] + [draw(v) if fate == "keep" else draw(st.sampled_from(JUNK))
+                                    for v in values])
+    if draw(st.sampled_from([False] * 3 + [True])):
+        groups.append([draw(st.sampled_from(EXTRA_FLAGS))])
+    groups = draw(st.permutations(groups))
+    return [command] * bool(command) + [token for group in groups for token in group]
+
+
+@settings(FUZZ, max_examples=100)
+@given(argv=argument_vectors())
+@example(argv=["vsg-trace", "{d}/scene.txt", "--order", "before", "--nr", "1000000000000000",
+               "--out", "{d}/v.pfm"])  # numpy refuses the 7 PiB sample array at once
+def test_fuzzed_argument_vectors(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        write_inputs(d)
+        os.chdir(d)  # a junk output path such as "x" is written there
+        try:
+            rc, err = run([a.format(d=d) for a in argv])
+        finally:
+            os.chdir(cwd)
+    if rc == 0:
+        assert err == "", err
+    else:
+        assert rc in (1, 2), (rc, err)
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
