@@ -72,7 +72,7 @@ class SpecEncoding:
     """Per-lobe specular features and the lobe's validity mask.
 
     fresnel is Schlick F at the half vector of view and lobe axis (three
-    equal channels for a scalar F0); half_cos_sq is (n . h)^2; axis_cos is
+    equal channels for the fixed F0); half_cos_sq is (n . h)^2; axis_cos is
     n . axis; view_cos is n . v. mask = 1 only when the lobe carries
     energy, points into the upper hemisphere, and the half vector exists.
     """
@@ -170,18 +170,18 @@ def smith_g2(cos_v, cos_l, alpha):
     return 1.0 / (1.0 + _smith_lambda(cos_v, alpha) + _smith_lambda(cos_l, alpha))
 
 
-def schlick_fresnel(cos_vh, f0: float = F0_DEFAULT, out=None):
-    """F = f0 + (1 - f0) * (1 - cos)^5, into out (which may be cos_vh)."""
+def schlick_fresnel(cos_vh, out=None):
+    """F = F0 + (1 - F0) * (1 - cos)^5, into out (which may be cos_vh)."""
     c = np.subtract(1.0, np.clip(cos_vh, 0.0, 1.0, out=out), out=out)
     c **= 5  # in place on arrays; scalars keep their scalar power
-    c *= 1.0 - f0
-    return np.add(c, f0, out=out)
+    c *= 1.0 - F0_DEFAULT
+    return np.add(c, F0_DEFAULT, out=out)
 
 
-def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
+def specular_brdf(v, l, n, roughness: float) -> float:
     """Full microfacet BRDF value D * G2 * F / (4 (n.v)(n.l)).
 
-    Scalar because f0 is scalar; zero when either direction is below the
+    Scalar because F0 is scalar; zero when either direction is below the
     horizon. Symmetric in v and l.
     """
     if roughness <= 0.0:
@@ -197,23 +197,17 @@ def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
     alpha = roughness * roughness
     d = ggx_ndf(float(np.dot(n, h)), alpha)
     g = smith_g2(cos_v, cos_l, alpha)
-    f = schlick_fresnel(float(np.dot(v, h)), f0)
+    f = schlick_fresnel(float(np.dot(v, h)))
     return float(d * g * f / (4.0 * cos_v * cos_l))
 
 
-def shading(
-    env: SgEnvironment,
-    normal,
-    pixel=None,
-    resolution=(32, 64),
-    mode: str = "equal_area",
-) -> np.ndarray:
-    """Cosine-weighted irradiance integral S = int L(l) max(n.l, 0) dl."""
+def shading(env: SgEnvironment, normal, resolution=(32, 64)) -> np.ndarray:
+    """Cosine-weighted irradiance S = int L(l) max(n.l, 0) dl; env has no visibility."""
     n = _as_unit(normal)
-    local, w = hemisphere_grid(resolution, mode)
+    local, w = hemisphere_grid(resolution)
     t, b = onb(n)
     dirs = local[:, 0:1] * t + local[:, 1:2] * b + local[:, 2:3] * n
-    radiance = mixture_radiance(env, dirs, _pixel_visibility(env, pixel))
+    radiance = mixture_radiance(env, dirs, _pixel_visibility(env))
     return np.einsum("mc,m,m->c", radiance, w, local[:, 2])
 
 
@@ -302,7 +296,6 @@ def render_specular(
     cam,
     resolution=(32, 64),
     mode: str = "equal_area",
-    f0: float = F0_DEFAULT,
     rows: Optional[slice] = None,
 ) -> HdrImage:
     """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
@@ -351,7 +344,7 @@ def render_specular(
         k = ggx_ndf(nh, a, out=h2)
         by_lat = k.reshape(len(a), grid[1].size, -1)  # a view of k
         by_lat *= smith_g2(cv, grid[1], a)[:, :, None]  # n.l is the row's u_i
-        k *= schlick_fresnel(vh, f0, out=vh)
+        k *= schlick_fresnel(vh, out=vh)
         k /= 4.0 * cv
         return np.multiply(k, wq, out=k)
 
@@ -360,9 +353,7 @@ def render_specular(
     return HdrImage(img.reshape(h, w, 3))
 
 
-def spec_encode(
-    env: SgEnvironment, normal, view, roughness: float, f0: float = F0_DEFAULT
-) -> list:
+def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> list:
     """Per-lobe specular feature tuples with validity masks.
 
     mask_s = 1 iff the lobe has nonzero L1 intensity, its axis points
@@ -382,7 +373,7 @@ def spec_encode(
         defined = hs_norm > 1e-9
         if defined:
             hs = hs / hs_norm
-            fres = np.full(3, schlick_fresnel(float(np.dot(v, hs)), f0))
+            fres = np.full(3, schlick_fresnel(float(np.dot(v, hs))))
             half_cos_sq = float(np.dot(n, hs)) ** 2
         else:
             fres = np.zeros(3)
@@ -418,7 +409,6 @@ def mc_render_specular(
     cam,
     n_samples: int = 100000,
     seed: int = 0,
-    f0: float = F0_DEFAULT,
 ) -> HdrImage:
     """Monte Carlo specular oracle with GGX importance sampling.
 
@@ -454,7 +444,7 @@ def mc_render_specular(
         weight = np.zeros(n_samples)
         weight[valid] = (
             smith_g2(cos_v, cos_l[valid], alpha)
-            * schlick_fresnel(vh[valid], f0)
+            * schlick_fresnel(vh[valid])
             * vh[valid]
             / (cos_v * cos_h[valid])
         )

@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("metrics", help="compare two PFM images")
     p.add_argument("a", help="prediction image")
-    p.add_argument("b", help="reference image (read but unused for g6)")
+    p.add_argument("b", help="reference image (accepted but not read for g6)")
     p.add_argument("--mask", default=None, help="grayscale PFM, nonzero keeps")
     p.add_argument("--metric", choices=sorted(METRICS), required=True)
     return parser

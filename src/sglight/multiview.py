@@ -83,6 +83,8 @@ class CameraView:
                 shape = (self.height, self.width) + ((3,) if name == "image" else ())
                 if arr.shape != shape:
                     raise ValueError(f"camera {name} map is {arr.shape}, not {shape}")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"camera {name} map must be finite")
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
 
@@ -237,7 +239,7 @@ def _errors(errors) -> np.ndarray:
     return e
 
 
-def multiview_weight(errors, cap: float = WEIGHT_CAP, base: str = "e") -> np.ndarray:
+def multiview_weight(errors, base: str = "e") -> np.ndarray:
     """w = max(-log e, 0), capped, L1 normalized; uniform when all zero.
 
     Each row of errors (..., K) is normalized on its own. base selects the
@@ -248,8 +250,8 @@ def multiview_weight(errors, cap: float = WEIGHT_CAP, base: str = "e") -> np.nda
         raw = -np.log(e) if base == "e" else -np.log10(e) if base == "10" else None
     if raw is None:
         raise ValueError(f"unknown log base {base!r}")
-    raw = np.where(e == 0.0, cap, raw)  # -log(0) -> capped maximum
-    raw = np.clip(raw, 0.0, cap)
+    raw = np.where(e == 0.0, WEIGHT_CAP, raw)  # -log(0) -> capped maximum
+    raw = np.clip(raw, 0.0, WEIGHT_CAP)
     raw = np.where(np.isinf(e), 0.0, raw)  # out of frame carries no vote
     total = raw.sum(axis=-1, keepdims=True)
     uniform = total == 0.0

@@ -23,6 +23,7 @@ from .envmap import EnvironmentMap, grid_directions, solid_angle_weights
 from .sg import (
     SgEnvironment,
     SphericalGaussian,
+    _frozen,
     as_direction,
     lobe_values,
     mixture_radiance,
@@ -247,39 +248,53 @@ def fit_objective(env: SgEnvironment, target: EnvironmentMap) -> float:
     return float(r @ r)
 
 
+def _box_lsq(gram, rhs):
+    """Row-wise argmin x.Gx/2 - c.x over [0, 1]^S for each row c of rhs (P, S).
+
+    Bounded-variable least squares (Stark & Parker 1995), every row in lock
+    step from all variables bound at 0: solve the free subsystem; step back to
+    the first bound met outside the box, else free the most inward-pulled one.
+    """
+    p, s = rhs.shape
+    x, free = np.zeros((p, s)), np.zeros((p, s), dtype=bool)
+    for _ in range(10 * (s + 1)):
+        a = np.where(free[:, :, None] & free[:, None, :], gram, np.eye(s))  # bound: identity
+        b = np.where(free, rhs - np.where(free, 0.0, x) @ gram, x)
+        z = np.where(free, np.linalg.solve(a, b[..., None])[..., 0], x)
+        out = (z < 0.0) | (z > 1.0)
+        stepped = out.any(axis=1, keepdims=True)
+        reach = np.divide(np.where(z < 0.0, x, 1.0 - x), abs(z - x), np.ones((p, s)), where=out)
+        step = reach.min(axis=1, keepdims=True)
+        hit = out & (reach <= step)  # the first bound met binds its variable
+        x = np.where(hit, z > 1.0, np.where(stepped, np.clip(x + step * (z - x), 0.0, 1.0), z))
+        free &= ~hit
+        # pull ahead of the gradient's rounding: a duplicate or dark lobe never frees
+        tol = 1e-12 * (np.abs(rhs) + np.abs(x) @ np.abs(gram))
+        pull = np.where(x > 0.0, 1.0, -1.0) * (x @ gram - rhs)
+        pull[free | stepped | (pull <= tol)] = 0.0
+        if not (stepped.any() or pull.any()):
+            return x
+        free[np.arange(p), pull.argmax(axis=1)] |= pull.max(axis=1) > 0.0
+    raise ValueError("bounded least squares did not converge")
+
+
 def fit_visibility(env: SgEnvironment, targets: np.ndarray) -> np.ndarray:
     """Per-pixel visibility factors for fixed lobes, each in [0, 1].
 
     targets has shape (..., rows, cols, 3): per-pixel environment maps.
     Solves min || sum_s mu_s * decode_s - target || per pixel with bounds
     0 <= mu <= 1 (solid-angle weighted, matching fit_sg's objective
-    weighting in the linear domain). Returns (..., S).
+    weighting in the linear domain), all pixels at once. Returns (..., S).
     """
-    from scipy.optimize import lsq_linear  # scipy costs ~0.5 s to import
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = _frozen(targets, "targets")
     if targets.ndim < 3 or targets.shape[-1] != 3:
         raise ValueError("targets must be (..., rows, cols, 3)")
     rows, cols = targets.shape[-3], targets.shape[-2]
     dirs = grid_directions(rows, cols).reshape(-1, 3)
     sqrt_w = np.sqrt(solid_angle_weights(rows, cols)).reshape(-1)
-    s = env.num_lobes
     lobes = env.packed
     # column s holds lobe s's weighted RGB values, rows ordered (cell, channel)
     e = lobe_values(lobes[:, :3], lobes[:, 3], dirs[:, None, :])
-    basis = (e[:, None, :] * lobes[:, 4:7].T * sqrt_w[:, None, None]).reshape(-1, s)
-    lead = targets.shape[:-3]
-    flat = targets.reshape((-1, rows * cols, 3))
-    out = np.zeros((flat.shape[0], s))
-    for i in range(flat.shape[0]):
-        b = (flat[i] * sqrt_w[:, None]).reshape(-1)
-        res = lsq_linear(basis, b, bounds=(0.0, 1.0), tol=1e-14)
-        out[i] = res.x
-    return out.reshape(lead + (s,))
-
-
-def match_lobes(fitted: SgEnvironment, reference: SgEnvironment):
-    """Hungarian pairing of lobes by axis angle; list of (fit, ref) pairs."""
-    from scipy.optimize import linear_sum_assignment  # scipy costs ~0.5 s to import
-    cost = np.arccos(np.clip(fitted.packed[:, :3] @ reference.packed[:, :3].T, -1.0, 1.0))
-    rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist()))
+    basis = (e[:, None, :] * lobes[:, 4:7].T * sqrt_w[:, None, None]).reshape(-1, len(lobes))
+    flat = (targets * sqrt_w.reshape(rows, cols, 1)).reshape(-1, basis.shape[0])
+    return _box_lsq(basis.T @ basis, flat @ basis).reshape(targets.shape[:-3] + basis.shape[1:])

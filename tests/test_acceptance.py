@@ -31,7 +31,7 @@ from sglight.sg import (
     integrate_sg_sphere,
     normalize,
 )
-from sglight.sgfit import FitConfig, fit_sg, match_lobes, sg_gradients
+from sglight.sgfit import FitConfig, fit_sg, sg_gradients
 from sglight.vsg import (
     bench_orders,
     composite_sg_after,
@@ -46,7 +46,7 @@ from test_brdf import constant_env, wall_camera
 from test_cli import write_wall_scene
 from test_metrics import random_pair
 from test_sg import quadrature_integral
-from test_sgfit import fd_gradients, rel_err
+from test_sgfit import fd_gradients, match_lobes, rel_err
 from test_vsg import constant_volume, random_volume
 
 

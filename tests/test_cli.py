@@ -518,6 +518,22 @@ class TestReproject:
         assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
         assert not (tmp_path / "e.pfm").exists()
 
+    @pytest.mark.parametrize("view", [0, 1], ids=["target", "source"])
+    def test_infinite_depth_is_one_error_line(self, view, tmp_path, capsys):
+        """One inf depth pixel, in the target's map or a source view's, is
+        rejected as the scene loads: one error line and no warning."""
+        scene_path = write_posed_scene(tmp_path)
+        depth = read_pfm(tmp_path / f"d{view}.pfm").copy()
+        depth[2, 3] = np.inf
+        write_pfm(tmp_path / f"d{view}.pfm", depth)
+        outs = [str(tmp_path / n) for n in ("e.pfm", "w.pfm", "m.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = main(["reproject", str(scene_path), "--target", "0", "--out", *outs])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: camera depth map must be finite\n"
+        assert not (tmp_path / "e.pfm").exists()
+
     def test_needs_two_cameras(self, tmp_path, capsys):
         scene = write_wall_scene(tmp_path)
         rc = main(["reproject", str(scene), "--target", "0", "--out",
@@ -645,9 +661,9 @@ class TestEntryPoints:
     @pytest.mark.parametrize("command", list(_COMMAND_IMPORTS))
     def test_command_imports_only_its_modules(self, command, tmp_path):
         """Each command, run in a fresh interpreter, loads exactly the
-        sglight modules it runs; scipy stays unloaded (only fit_visibility
-        and match_lobes import it, on use), and the thread pool and csv
-        load only for render --threads and bench-order."""
+        sglight modules it runs; scipy stays unloaded (no sglight module
+        imports it), and the thread pool and csv load only for render
+        --threads and bench-order."""
         extra, others = _COMMAND_IMPORTS[command]
         argv = _probe_argv(command, tmp_path)
         loaded = _modules_after(f"assert main({argv!r}) == 0")

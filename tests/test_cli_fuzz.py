@@ -202,16 +202,19 @@ BAD_SCALES = [b"0", b"0.0", b"-0", b"nan", b"inf", b"-inf", b"x", b""]
 
 
 @st.composite
-def broken_pfms(draw, data, sized=True):
+def broken_pfms(draw, data, sized=True, depth=False):
     """A PFM of data with one fault that any reader of this file rejects.
 
     sized: the reader checks the map's size against other inputs, so a
-    resized map is a fault too.
+    resized map is a fault too. depth: the map holds depths, which every
+    reader also rejects when a pixel is infinite.
     """
     faults = ["magic", "dims", "scale", "truncate", "append", "newline", "nan",
               "channels"]
     if sized:
         faults.append("size")
+    if depth:
+        faults.append("inf")
     fault = draw(st.sampled_from(faults))
     blob = pfm_bytes(data)
     if fault == "magic":
@@ -227,9 +230,10 @@ def broken_pfms(draw, data, sized=True):
     if fault == "newline":  # drop one header line's terminator
         cut = [i for i, b in enumerate(blob[:16]) if b == ord("\n")][draw(st.integers(0, 2))]
         return blob[:cut] + blob[cut + 1:]
-    if fault == "nan":
+    if fault in ("nan", "inf"):
         flat = np.array(data, dtype="<f4").ravel()
-        flat[draw(st.integers(0, flat.size - 1))] = np.nan
+        bad = np.nan if fault == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        flat[draw(st.integers(0, flat.size - 1))] = bad
         return pfm_bytes(flat.reshape(np.shape(data)))
     if fault == "channels":  # a grayscale map where RGB is read, or the reverse
         flat = np.asarray(data).reshape(SIZE, -1)
@@ -238,6 +242,7 @@ def broken_pfms(draw, data, sized=True):
     return pfm_bytes(np.resize(data, (rows, cols) + np.shape(data)[2:]))
 
 
+DEPTHS = ("d0.pfm", "d1.pfm", "depth.pfm")
 PFM_TARGETS = (
     [("metrics", name) for name in ("a.pfm", "b.pfm", "mask.pfm")]
     + [("fit", "t.pfm")]
@@ -248,7 +253,7 @@ PFM_TARGETS = (
 @st.composite
 def broken_pfm_runs(draw):
     command, name = draw(st.sampled_from(PFM_TARGETS))
-    blob = draw(broken_pfms(base_maps()[name], sized=command != "fit"))
+    blob = draw(broken_pfms(base_maps()[name], sized=command != "fit", depth=name in DEPTHS))
     if command == "metrics":
         metric = draw(st.sampled_from(["g1", "g2", "g3", "g4", "g5"]))
         argv = ["metrics", *METRICS_ARGS, "--metric", metric]
@@ -260,8 +265,15 @@ def broken_pfm_runs(draw):
     return argv, name, blob
 
 
+def _inf_depth():
+    depth = base_maps()["d0.pfm"]
+    depth[1, 2] = np.inf
+    return pfm_bytes(depth)
+
+
 @settings(FUZZ, max_examples=70)
 @given(case=broken_pfm_runs())
+@example(case=(scene_argv("reproject"), "d0.pfm", _inf_depth()))  # a source view's depth
 def test_malformed_pfm_file(case):
     argv, name, blob = case
     with tempfile.TemporaryDirectory() as d:

@@ -101,6 +101,17 @@ def test_camera_rejects_non_finite_intrinsics_and_pose(field, index, bad):
         CameraView(**args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["image", "depth", "confidence"])
+def test_camera_rejects_non_finite_maps(name, bad):
+    args = CASES["CameraView"][1]()
+    args[name][(1, 2)] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"camera {name} map must be finite"):
+            CameraView(**args)
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda: SphericalGaussian([1e300, 1e300, -1e300], 2.0, [1.0, 1.0, 1.0]), "unit"),
     (lambda: normalize(np.array([1e300, 1e300, -1e300])), "infinite length"),

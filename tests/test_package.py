@@ -78,3 +78,31 @@ def test_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["sglight", "sglight sglight.pfm"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """With scipy unimportable, every sglight module loads and
+    fit_visibility, the last scipy user, runs."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "import importlib, pkgutil\n"
+        "import numpy as np\n"
+        "import sglight\n"
+        "names = [m.name for m in pkgutil.iter_modules(sglight.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module(f'sglight.{name}')\n"
+        "from sglight.envmap import decode_env\n"
+        "from sglight.sg import SgEnvironment, SphericalGaussian\n"
+        "from sglight.sgfit import fit_visibility\n"
+        "env = SgEnvironment((SphericalGaussian([0.0, 0.0, 1.0], 6.0, [1.0, 1.0, 1.0]),))\n"
+        "full = decode_env(env, rows=8, cols=16).data\n"
+        "mu = fit_visibility(env, np.stack([0.25 * full, 2.0 * full]))\n"
+        "print(' '.join(sorted(names)))\n"
+        "print(' '.join(f'{v:.6f}' for v in mu.ravel()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names, factors = proc.stdout.splitlines()
+    assert set(EXPORTS) | {"cli", "scene", "__main__"} <= set(names.split())
+    assert factors == "0.250000 1.000000"

@@ -2,19 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment, lsq_linear
 
-from sglight.envmap import decode_env, grid_directions
+from sglight.envmap import decode_env, grid_directions, solid_angle_weights
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize, unit_to_spherical
 from sglight.sgfit import (
     FitConfig,
     FitResult,
+    _box_lsq,
     _grid,
     _normal_equations,
     _objective_parts,
     fit_objective,
     fit_sg,
     fit_visibility,
-    match_lobes,
     sg_gradients,
 )
 
@@ -50,6 +51,13 @@ def fd_gradients(lobe, l, h=1e-5):
         - lobe_value(eta, lam, theta, phi - h, l)
     ) / (2 * h)
     return d_eta, d_lam, d_theta, d_phi
+
+
+def match_lobes(fitted: SgEnvironment, reference: SgEnvironment):
+    """Hungarian pairing of lobes by axis angle; list of (fit, ref) pairs."""
+    cost = np.arccos(np.clip(fitted.packed[:, :3] @ reference.packed[:, :3].T, -1.0, 1.0))
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def rel_err(a, b, floor=1e-8):
@@ -285,3 +293,71 @@ class TestVisibility:
         assert out.shape == (1, 1)
         assert 0.0 <= out[0, 0] <= 1.0
         np.testing.assert_allclose(out[0, 0], 1.0, atol=1e-9)
+
+
+def visibility_problem(lobes, pixels, seed, rows=8, cols=16):
+    """Noisy per-pixel targets of lobes, with factors drawn past both bounds,
+    and the weighted basis (3N, S) and targets (pixels, 3N) of each pixel's
+    least-squares problem, built from decode_env."""
+    rng = np.random.default_rng(seed)
+    decoded = np.stack([decode_env(SgEnvironment((lobe,)), rows, cols).data for lobe in lobes])
+    mu = rng.uniform(-0.3, 1.3, size=(pixels, len(lobes)))
+    targets = np.einsum("ps,sijc->pijc", mu, decoded)
+    targets += rng.normal(scale=0.05, size=targets.shape)
+    sqrt_w = np.sqrt(solid_angle_weights(rows, cols))[..., None]
+    basis = (decoded * sqrt_w).reshape(len(lobes), -1).T
+    return targets, basis, (targets * sqrt_w).reshape(pixels, -1)
+
+
+def random_lobes(rng, s, spread):
+    """s lobes with axes within spread of one random axis (per component)."""
+    base = normalize(rng.normal(size=3))
+    return [SphericalGaussian(normalize(base + spread * rng.uniform(-1.0, 1.0, size=3)),
+                              rng.uniform(1.0, 40.0), rng.uniform(0.1, 3.0, size=3))
+            for _ in range(s)]
+
+
+class TestVisibilityOracle:
+    """fit_visibility against scipy's lsq_linear, pixel by pixel."""
+
+    def check(self, lobes, seed, pixels=8):
+        targets, basis, rhs = visibility_problem(lobes, pixels, seed)
+        got = fit_visibility(SgEnvironment(tuple(lobes)), targets)
+        assert got.shape == (pixels, len(lobes))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        for x, b in zip(got, rhs):
+            # KKT: zero gradient inside the box, pointing outward at a bound
+            grad = basis.T @ (basis @ x - b)
+            tol = 1e-12 * np.max(np.abs(basis.T @ b))
+            assert np.all(np.abs(grad[(x > 0.0) & (x < 1.0)]) <= tol)
+            assert np.all(grad[x == 0.0] >= -tol) and np.all(grad[x == 1.0] <= tol)
+            ref = lsq_linear(basis, b, bounds=(0.0, 1.0), tol=1e-14).x
+            objective = np.sum((basis @ x - b) ** 2)
+            assert objective <= np.sum((basis @ ref - b) ** 2) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    @pytest.mark.parametrize("spread", [2.0, 0.02], ids=["random", "near-collinear"])
+    def test_kkt_and_objective(self, s, spread):
+        self.check(random_lobes(np.random.default_rng(100 + s), s, spread), seed=s)
+
+    @pytest.mark.parametrize("spread", [2.0, 0.02], ids=["random", "near-collinear"])
+    def test_duplicate_and_dark_lobes(self, spread):
+        """A repeated lobe and zero-intensity lobes leave singular Gram
+        matrices; the solve still meets the oracle."""
+        lobes = random_lobes(np.random.default_rng(7), 4, spread)
+        dark = SphericalGaussian(lobes[1].axis, lobes[1].sharpness, [0.0, 0.0, 0.0])
+        self.check([lobes[0], dark, lobes[0], *lobes[2:], dark], seed=3)
+
+    def test_pass_cap_raises(self):
+        """A problem the active set cannot settle, here a negative Gram
+        matrix that frees and binds its variable forever, hits the cap."""
+        with pytest.raises(ValueError, match="did not converge"):
+            _box_lsq(np.array([[-1.0]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_targets(self, bad):
+        lobe = SphericalGaussian([0.0, 0.0, 1.0], 6.0, [1.0, 1.0, 1.0])
+        targets = np.ones((2, 8, 16, 3))
+        targets[1, 3, 4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_visibility(SgEnvironment((lobe,)), targets)
