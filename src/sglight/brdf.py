@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, _frozen, _pixel_visibility, mixture_radiance
+from .sg import SgEnvironment, _as_unit, _frozen, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
@@ -203,11 +203,13 @@ def specular_brdf(v, l, n, roughness: float) -> float:
 
 def shading(env: SgEnvironment, normal, resolution=(32, 64)) -> np.ndarray:
     """Cosine-weighted irradiance S = int L(l) max(n.l, 0) dl; env has no visibility."""
+    if env.visibility is not None:
+        raise ValueError("shading takes an environment without per-pixel visibility")
     n = _as_unit(normal)
     local, w = hemisphere_grid(resolution)
     t, b = onb(n)
     dirs = local[:, 0:1] * t + local[:, 1:2] * b + local[:, 2:3] * n
-    radiance = mixture_radiance(env, dirs, _pixel_visibility(env))
+    radiance = mixture_radiance(env, dirs)
     return np.einsum("mc,m,m->c", radiance, w, local[:, 2])
 
 

@@ -17,7 +17,7 @@ Both orders evaluate lobes at -l for a ray marched along l.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +27,8 @@ VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
 # points interpolated at once; a (points, 8) float64 temporary is 256 kB
 CHUNK_POINTS = 1 << 12
-# rays bench_orders draws, samples and composites at once
-BENCH_CHUNK = 1024
+# ray samples per bench_orders chunk (1 MiB of records); a chunk holds >= 1 ray
+BENCH_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,13 @@ class VsgVolume:
 
     Channels, in storage order: alpha, intensity RGB, axis xyz, sharpness.
     alpha lies in [0, 1] and sharpness is >= 0.
+    lattice: the flat view, cell, clamp bounds, strides and corner offsets of _interp_records.
     """
 
     data: np.ndarray
     bbox_min: np.ndarray
     bbox_max: np.ndarray
+    lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = _frozen(self.data, "volume data")
@@ -58,6 +60,12 @@ class VsgVolume:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "bbox_min", lo)
         object.__setattr__(self, "bbox_max", hi)
+        dims = np.array(data.shape[:3], dtype=np.float64)
+        stride = np.array([data.shape[1] * data.shape[2], data.shape[2], 1])
+        offsets = [int(np.dot(c, np.where(dims > 1, stride, 0))) for c in np.ndindex(2, 2, 2)]
+        object.__setattr__(self, "lattice", (
+            data.reshape(-1, 8), (hi - lo) / dims, dims - 1.0,
+            (dims - 2).astype(np.int64).clip(min=0), stride, offsets))
 
     @property
     def dims(self) -> tuple:
@@ -132,27 +140,22 @@ def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
     Trilinear over voxel centers (edge clamped), or nearest-neighbor when
     nearest=True. The axis columns are renormalized in place; a vanishing
     interpolated axis falls back to +z. Works through CHUNK_POINTS points
-    at a time, gathering from the flat (X*Y*Z, 8) view of the grid, so its
+    at a time from vol.lattice, gathering with mode="clip" (indices are in
+    range by construction; the default mode buffers out), so its
     temporaries stay near 1 MB whatever N is.
     """
-    dims = np.array(vol.dims, dtype=np.float64)
-    cell = (vol.bbox_max - vol.bbox_min) / dims
-    flat = vol.data.reshape(-1, 8)
-    stride = np.array([vol.dims[1] * vol.dims[2], vol.dims[2], 1])
-    i_max = (dims - 2).astype(np.int64).clip(min=0)
-    # flat offset of the +1 neighbour per axis; 0 on an axis of size 1,
-    # where the upper corner clamps back onto the lower one
-    step = np.where(dims > 1, stride, 0)
+    flat, cell, g_max, i_max, stride, offsets = vol.lattice
     size = min(CHUNK_POINTS, points.shape[0])
     corner = np.empty((size, 8))
     weight = np.empty(size)
     for lo in range(0, points.shape[0], CHUNK_POINTS):
         rec = out[lo:lo + CHUNK_POINTS]
-        # continuous voxel-center coordinates
+        # continuous voxel-center coordinates, clamped to [0, dims - 1]
         g = (points[lo:lo + CHUNK_POINTS] - vol.bbox_min) / cell - 0.5
-        g = np.clip(g, 0.0, dims - 1.0)
+        np.maximum(g, 0.0, out=g)
+        np.minimum(g, g_max, out=g)
         if nearest:
-            np.take(flat, np.rint(g).astype(np.int64) @ stride, axis=0, out=rec)
+            flat.take(np.rint(g).astype(np.int64) @ stride, axis=0, out=rec, mode="clip")
         else:
             i0 = np.minimum(np.floor(g).astype(np.int64), i_max)
             f = g - i0
@@ -167,14 +170,16 @@ def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
                     wxy = wx * (f1[:, 1] if dy == 0 else f[:, 1])
                     for dz in (0, 1):
                         np.multiply(wxy, f1[:, 2] if dz == 0 else f[:, 2], out=w)
-                        offset = dx * step[0] + dy * step[1] + dz * step[2]
-                        np.take(flat, base + offset, axis=0, out=c)
+                        k = base + offsets[4 * dx + 2 * dy + dz]
+                        flat.take(k, axis=0, out=c, mode="clip")
                         c *= w[:, None]
                         rec += c
         axis = rec[:, 4:7]
-        norm = np.linalg.norm(axis, axis=-1, keepdims=True)
+        norm = np.sqrt(np.add.reduce(axis * axis, -1, keepdims=True))
         ok = norm > 1e-12
-        axis[:] = np.where(ok, axis / np.where(ok, norm, 1.0), np.array([0.0, 0.0, 1.0]))
+        np.divide(axis, norm, out=axis, where=ok)
+        if not ok.all():
+            axis[~ok[:, 0]] = (0.0, 0.0, 1.0)
 
 
 def _fields(rec):
@@ -209,9 +214,7 @@ def sample_ray(
     direction = _as_unit(direction)
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     if not hit:
-        empty = np.zeros(0)
-        return RaySampleSet(origin, direction, empty, empty,
-                            np.zeros((0, 3)), np.zeros((0, 3)), empty)
+        return RaySampleSet(origin, direction, np.zeros(0), *_fields(np.zeros((0, 8))))
     t, points = _march(origin, direction, t_near, t_far, n_r)
     rec = np.empty((n_r, 8))
     _interp_records(vol, points, rec, nearest)
@@ -220,11 +223,10 @@ def sample_ray(
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
     """w_n = alpha_n * prod_{m<n}(1 - alpha_m) along the last axis."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    trans = np.cumprod(1.0 - alpha, axis=-1)
-    lead = np.ones(alpha.shape[:-1] + (1,))
-    before = np.concatenate([lead, trans[..., :-1]], axis=-1)
-    return before * alpha
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    w = np.ones(alpha.shape)
+    np.cumprod(1.0 - alpha[..., :-1], axis=-1, out=w[..., 1:])
+    return np.multiply(w, alpha, out=w)
 
 
 def _composite_before(alpha, intensity, axis, sharpness, l):
@@ -291,9 +293,10 @@ def bench_orders(
 ) -> dict:
     """Time both compositing orders on identical sampled records.
 
-    Rays are drawn, sampled and composited BENCH_CHUNK rays at a time, so
-    the records held at once are BENCH_CHUNK * n_r * 64 bytes (8 MB at
-    n_r = 128) however many rays are timed. Sampling is
+    Rays are drawn, sampled and composited max(1, BENCH_SAMPLES // n_r)
+    at a time, so the records held at once are at most BENCH_SAMPLES * 64
+    bytes (1 MiB, reached at n_r = 128) however many rays are timed, or
+    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
     (rays * n_r for "before", rays for "after") and the median over runs
@@ -306,7 +309,7 @@ def bench_orders(
     t_after = np.zeros(runs)
     done = 0
     while done < rays:
-        n = min(BENCH_CHUNK, rays - done)
+        n = min(max(1, BENCH_SAMPLES // n_r), rays - done)
         origins, dirs = _random_rays(vol, n, rng)
         alpha, intensity, axis, sharpness = _sample_batch(vol, origins, dirs, n_r)
         for r in range(runs):

@@ -386,6 +386,15 @@ class TestShading:
         dense = shading(env, n, resolution=(256, 512))
         np.testing.assert_allclose(coarse, dense, rtol=1e-4)
 
+    def test_rejects_per_pixel_visibility(self):
+        """shading has no pixel argument, so its error names the
+        environment, not a pixel index."""
+        lobe = SphericalGaussian(normalize([0.0, 0.0, 1.0]), 4.0, [1.0, 1.0, 1.0])
+        env = SgEnvironment((lobe,), visibility=np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="^shading takes an environment "
+                                             "without per-pixel visibility$"):
+            shading(env, [0.0, 0.0, 1.0])
+
 
 class TestRenderers:
     def test_diffuse_furnace(self):

@@ -230,6 +230,30 @@ class TestChunkedSampling:
         want[:, 4:7] /= norm
         assert np.array_equal(ray_records(s), want)
 
+    @pytest.mark.parametrize("dims", [(1, 4, 5), (1, 1, 1), (3, 7, 2)])
+    def test_faces_and_corners_gather_exact_voxels(self, dims):
+        """Points on and just beyond every face, edge and corner of the box.
+
+        The gathers use mode="clip", which would silently clamp a wrong
+        flat index; both modes must still give the per-corner reference
+        and the rounded voxel exactly."""
+        vol = random_volume(np.random.default_rng(15), dims=dims)
+        cell = (vol.bbox_max - vol.bbox_min) / np.array(dims)
+        lo, hi = vol.bbox_min, vol.bbox_max
+        ticks = np.stack([lo - 0.3 * cell, lo - 1e-12, lo, lo + 0.5 * cell,
+                          (lo + hi) / 2, hi - 0.5 * cell, hi, hi + 1e-12, hi + 0.3 * cell])
+        points = np.stack(np.meshgrid(ticks[:, 0], ticks[:, 1], ticks[:, 2],
+                                      indexing="ij"), axis=-1).reshape(-1, 3)
+        rec = np.empty((len(points), 8))
+        vsg._interp_records(vol, points, rec)
+        assert np.array_equal(rec, reference_records(vol, points))
+        vsg._interp_records(vol, points, rec, nearest=True)
+        g = (points - lo) / cell - 0.5
+        idx = np.rint(np.clip(g, 0.0, np.array(dims) - 1.0)).astype(np.int64)
+        want = vol.data[idx[:, 0], idx[:, 1], idx[:, 2]].copy()
+        want[:, 4:7] /= np.linalg.norm(want[:, 4:7], axis=-1, keepdims=True)
+        assert np.array_equal(rec, want)
+
 
 class TestCompositing:
     def test_weight_hand_case(self):
@@ -311,17 +335,26 @@ class TestBench:
         assert out["seconds_after"] > 0.0
         assert out["rays"] == 512 and out["n_r"] == 16
 
-    def test_peak_memory_bounded(self):
-        """Records are sampled and composited in chunks of rays, so the
-        traced peak stays far below the 134 MB of (16384, 128, 8) records."""
+    @staticmethod
+    def traced_peak(**kwargs):
         vol = random_volume(np.random.default_rng(14), dims=(16, 16, 16))
         tracemalloc.start()
         try:
-            bench_orders(vol, rays=16384, n_r=128, runs=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            bench_orders(vol, runs=1, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+
+    def test_peak_memory_bounded(self):
+        """Records are sampled and composited in chunks of BENCH_SAMPLES
+        samples (1 MiB of records), so the traced peak stays far below the
+        134 MB of (16384, 128, 8) records."""
+        assert self.traced_peak(rays=16384, n_r=128) < 8e6
+
+    def test_peak_memory_bounded_at_large_n_r(self):
+        """Past BENCH_SAMPLES samples per ray a chunk is one ray: 8 MiB of
+        records at n_r = 2^17, not a fixed ray count times n_r."""
+        assert self.traced_peak(rays=8, n_r=2**17) < 40e6
 
 
 class TestDiskFormat:
