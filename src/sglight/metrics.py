@@ -88,8 +88,8 @@ def g4_log_mse(pred, ref, mask) -> float:
     return float(np.mean(((np.log1p(a) - np.log1p(b)) ** 2)[m]))
 
 
-def _log_mse_at(log_tau: float, a, b, m) -> float:
-    return float(np.mean(((np.log1p(np.exp(log_tau) * a) - np.log1p(b)) ** 2)[m]))
+def _log_mse_at(log_tau: float, a_masked, log_b_masked) -> float:
+    return float(np.mean((np.log1p(np.exp(log_tau) * a_masked) - log_b_masked) ** 2))
 
 
 def _fminbound(func, lo: float, hi: float, xatol: float):
@@ -149,19 +149,18 @@ def _fminbound(func, lo: float, hi: float, xatol: float):
 def g5_scaled_log_mse(pred, ref, mask) -> float:
     """g4 after fitting a scalar scale on pred, optimal in the log domain.
 
-    The 1-D search starts from the linear lsq_scale solution; the linear
-    scale and tau = 1 are also evaluated and the best kept, so the result
-    never exceeds g4.
+    The 1-D search starts from the linear lsq_scale solution when the masked
+    prediction energy is positive; it and tau = 1 are also evaluated and the
+    best kept, so the result never exceeds g4 (a zero prediction scores g4).
     """
     a, b, m = _log_pair(pred, ref, mask)
-    tau_lin = lsq_scale(a, b, m)
+    am, log_b = a[m], np.log1p(b[m])
     candidates = [0.0]
-    if tau_lin > 0.0:
+    if np.sum(am * am) > 0.0 and (tau_lin := lsq_scale(a, b, m)) > 0.0:
         candidates.append(np.log(tau_lin))
-    lo = min(candidates) - 5.0
-    hi = max(candidates) + 5.0
-    _, fun = _fminbound(lambda t: _log_mse_at(t, a, b, m), lo, hi, xatol=1e-12)
-    best = min(_log_mse_at(c, a, b, m) for c in candidates)
+    lo, hi = min(candidates) - 5.0, max(candidates) + 5.0
+    _, fun = _fminbound(lambda t: _log_mse_at(t, am, log_b), lo, hi, xatol=1e-12)
+    best = min(_log_mse_at(c, am, log_b) for c in candidates)
     return float(min(best, fun))
 
 

@@ -157,8 +157,9 @@ def lobe_values(axis, sharpness, dirs) -> np.ndarray:
     broadcast over their leading axes, so dirs[..., None, :] against
     (S, 3) axes gives every lobe at every direction, (..., S).
     """
-    dot = np.einsum("...k,...k->...", np.asarray(dirs, dtype=np.float64), axis)
-    return np.exp(np.asarray(sharpness, dtype=np.float64) * (dot - 1.0))
+    # unnamed, the dot products take the "- 1" in place: one (..., S) array less
+    return np.exp(np.asarray(sharpness, dtype=np.float64)
+                  * (np.einsum("...k,...k->...", np.asarray(dirs, dtype=np.float64), axis) - 1.0))
 
 
 def sg_radiance(intensity, sharpness, axis, dirs) -> np.ndarray:

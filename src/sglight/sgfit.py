@@ -107,52 +107,59 @@ def _env_from_params(p: np.ndarray) -> SgEnvironment:
     return SgEnvironment(tuple(lobes))
 
 
-def _predict(p: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Mixture values at dirs (N, 3) for the parameter matrix (S, 6)."""
-    axis = spherical_to_unit(p[:, 4], p[:, 5])
-    return lobe_values(axis, np.exp(p[:, 3]), dirs[:, None, :]) @ np.exp(p[:, 0:3])
-
-
-def _residuals(pred, target, sqrt_w):
+def _residuals(pred, log_target, sqrt_w):
     """Weighted log-domain residual vector (N*3,); objective is sum(r^2)."""
-    return ((np.log1p(pred) - np.log1p(target)) * sqrt_w[:, None]).reshape(-1)
+    return ((np.log1p(pred) - log_target) * sqrt_w[:, None]).reshape(-1)
 
 
-def _objective_parts(p, dirs, target, sqrt_w):
-    """Residual vector (N*3,) and prediction."""
-    pred = _predict(p, dirs)
-    return _residuals(pred, target, sqrt_w), pred
+def _objective_parts(p, dirs, log_target, sqrt_w, block):
+    """Residual vector (N*3,) and prediction (N, 3) for parameters p (S, 6).
+
+    log_target is log1p of the target (N, 3). The lobe values (N, S) under
+    pred go into block[..., 0] of a _workspace, for _normal_equations.
+    """
+    values = lobe_values(spherical_to_unit(p[:, 4], p[:, 5]), np.exp(p[:, 3]), dirs[:, None, :])
+    block[..., 0] = values
+    pred = values @ np.exp(p[:, 0:3])
+    return _residuals(pred, log_target, sqrt_w), pred
 
 
-def _normal_equations(p, dirs, pred, sqrt_w, r):
+def _workspace(n, s):
+    """One fit's buffers for _normal_equations: block, J_c, each channel's columns."""
+    cols = [(6 * np.arange(s)[:, None] + (c, 3, 4, 5)).reshape(-1) for c in range(3)]
+    return np.empty((n, s, 4)), np.empty((n, s * 4)), cols
+
+
+def _normal_equations(p, dirs, pred, sqrt_w, r, work):
     """Gauss-Newton products (J^T J, J^T r), never forming J (N*3, S*6).
 
     Channel c's rows of J are one shared (N, S, 4) block of lobe values and
     exponent partials, scaled per row by the channel's chain-rule factor and
     per lobe by its intensity c, at columns (s, c), (s, 3), (s, 4), (s, 5).
+    work is a _workspace whose block[..., 0] holds the lobe values that
+    _objective_parts wrote for pred; the rest of it is overwritten.
     """
-    n, s = dirs.shape[0], p.shape[0]
+    block, jac_c, cols = work
+    n, s = block.shape[:2]
     sharp = np.exp(p[:, 3])
-    axis = spherical_to_unit(p[:, 4], p[:, 5])
     d_theta, d_phi = _axis_partials(p[:, 4], p[:, 5])
-    block = np.empty((n, s, 4))
-    block[..., 0] = lobe_values(axis, sharp, dirs[:, None, :])
-    # d/d log sharpness, theta, phi: the lobe value times the exponent's partial
-    slopes = (dirs @ axis.T - 1.0, dirs @ d_theta.T, dirs @ d_phi.T)
-    for k, slope in enumerate(slopes, start=1):
-        np.multiply(block[..., 0], sharp * slope, out=block[..., k])
+    # d/d log sharpness, theta, phi: the lobe value times the exponent's
+    # partial, each slope in turn in J_c's first N*S entries
+    slope = jac_c.reshape(-1)[: n * s].reshape(n, s)
+    for k, v in enumerate((spherical_to_unit(p[:, 4], p[:, 5]), d_theta, d_phi), start=1):
+        np.matmul(dirs, v.T, out=slope)
+        slope -= k == 1  # the sharpness partial has l . axis - 1; x - 0 is x
+        np.multiply(block[..., 0], np.multiply(slope, sharp, out=slope), out=block[..., k])
     block = block.reshape(n, s * 4)
     chain = sqrt_w[:, None] / (1.0 + pred)  # (N, 3), through log1p
     h, g = np.zeros((s * 6, s * 6)), np.zeros(s * 6)
-    # one buffer for all channels: a fresh J_c per channel took the build on
-    # a 64x128 map with S = 8 from 3.2 to 5 ms, mostly in page faults
-    jac_c = np.empty_like(block)
+    # one J_c for all channels and iterations: a fresh one per channel took the
+    # build on a 64x128 map with S = 8 from 3.2 to 5 ms, mostly in page faults
     for c in range(3):
         np.multiply(block, chain[:, c, None], out=jac_c)
         scale = np.repeat(np.exp(p[:, c]), 4)
-        cols = (6 * np.arange(s)[:, None] + (c, 3, 4, 5)).reshape(-1)
-        h[np.ix_(cols, cols)] += (jac_c.T @ jac_c) * np.outer(scale, scale)
-        g[cols] += (jac_c.T @ r[c::3]) * scale
+        h[np.ix_(cols[c], cols[c])] += (jac_c.T @ jac_c) * np.outer(scale, scale)
+        g[cols[c]] += (jac_c.T @ r[c::3]) * scale
     return h, g
 
 
@@ -188,10 +195,11 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     accepted step (the initial objective first) and never increases.
     """
     dirs, sqrt_w = _grid(target.rows, target.cols)
-    tgt = target.data.reshape(-1, 3)
+    log_tgt = np.log1p(target.data.reshape(-1, 3))
 
     p = _greedy_init(target.data, dirs.reshape(target.data.shape), config.num_lobes)
-    r, pred = _objective_parts(p, dirs, tgt, sqrt_w)
+    work = _workspace(dirs.shape[0], config.num_lobes)
+    r, pred = _objective_parts(p, dirs, log_tgt, sqrt_w, work[0])
     loss = float(r @ r)
     trace = [loss]
     damping = DAMPING_INIT
@@ -199,7 +207,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     converged = False
 
     for _ in range(config.max_iterations):
-        h, g = _normal_equations(p, dirs, pred, sqrt_w, r)
+        h, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
         diag = np.diag(h).copy()
         diag[diag <= 0.0] = 1e-12
         accepted = False
@@ -210,7 +218,8 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
                 damping *= DAMPING_GROWTH
                 continue
             p_try = p + step.reshape(p.shape)
-            r_try, pred_try = _objective_parts(p_try, dirs, tgt, sqrt_w)
+            # each trial leaves its lobe values in work; the accepted one is the last
+            r_try, pred_try = _objective_parts(p_try, dirs, log_tgt, sqrt_w, work[0])
             loss_try = float(r_try @ r_try)
             if np.isfinite(loss_try) and loss_try < loss:
                 rel_drop = (loss - loss_try) / max(loss, 1e-300)
@@ -244,7 +253,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
 def fit_objective(env: SgEnvironment, target: EnvironmentMap) -> float:
     """The exact objective fit_sg minimizes, for external comparisons."""
     dirs, sqrt_w = _grid(target.rows, target.cols)
-    r = _residuals(mixture_radiance(env, dirs), target.data.reshape(-1, 3), sqrt_w)
+    r = _residuals(mixture_radiance(env, dirs), np.log1p(target.data.reshape(-1, 3)), sqrt_w)
     return float(r @ r)
 
 

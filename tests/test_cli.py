@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sglight.cli import main
+from sglight.cli import METRIC_NAMES, main
 from sglight.envmap import decode_env
 from sglight.multiview import (
     MultiViewSet,
@@ -134,10 +134,10 @@ def write_posed_scene(dirpath, size=6):
     return path
 
 
-_CLI_MODULES = {"sglight", "sglight.cli", "sglight.metrics", "sglight.pfm"}
+_CLI_MODULES = {"sglight", "sglight.cli", "sglight.pfm"}
 # command -> (sglight modules beyond _CLI_MODULES, other tracked modules it loads)
 _COMMAND_IMPORTS = {
-    "metrics": (set(), []),
+    "metrics": ({"metrics"}, []),
     "fit": ({"envmap", "sg", "sgfit"}, []),
     "render": ({"scene", "sg", "brdf", "envmap", "multiview"}, []),
     "render-threads": ({"scene", "sg", "brdf", "envmap", "multiview"},
@@ -575,6 +575,27 @@ class TestMetrics:
                    str(tmp_path / "b.pfm"), "--metric", "g5"])
         assert rc == 0
         assert float(capsys.readouterr().out.strip()) < 1e-10
+
+    def test_zero_prediction_g5_is_g4(self, tmp_path, capsys):
+        """Every scale leaves a zero prediction zero: g5 prints g4 and exits
+        0, while g3, which divides by the prediction's energy, exits 1."""
+        rng = np.random.default_rng(8)
+        write_pfm(tmp_path / "zero.pfm", np.zeros((3, 5, 3), dtype=np.float32))
+        write_pfm(tmp_path / "ref.pfm", rng.uniform(0.1, 2.0, size=(3, 5, 3)).astype(np.float32))
+        paths = [str(tmp_path / "zero.pfm"), str(tmp_path / "ref.pfm")]
+        out = {}
+        for metric in ("g4", "g5"):
+            assert main(["metrics", *paths, "--metric", metric]) == 0
+            out[metric] = capsys.readouterr().out
+        assert out["g5"] == out["g4"] and float(out["g5"]) > 0.0
+        assert main(["metrics", *paths, "--metric", "g3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: masked prediction energy is zero\n"
+
+    def test_metric_choices_are_the_registry(self):
+        """The parser's literal --metric choices name every metric, sorted."""
+        from sglight.metrics import METRICS
+        assert METRIC_NAMES == tuple(sorted(METRICS))
 
     def test_mask_respected(self, tmp_path, capsys):
         a = np.zeros((2, 2, 3), dtype=np.float32)

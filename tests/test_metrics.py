@@ -164,9 +164,66 @@ class TestLogMse:
             at_linear = g4_log_mse(pred * tau, ref, mask)
             assert g5_scaled_log_mse(pred, ref, mask) <= at_linear + 1e-15
 
+    @pytest.mark.parametrize("mask", [None, "pixels", "entries"])
+    def test_g5_of_zero_prediction_is_g4(self, mask):
+        """Every scale leaves a zero prediction zero, so g5 is g4 exactly;
+        g3, which needs the linear scale, still raises."""
+        rng = np.random.default_rng(5)
+        ref = rng.uniform(0.0, 3.0, size=(6, 7, 3))
+        pred = np.zeros_like(ref)
+        m = {None: np.ones((6, 7)), "pixels": rng.uniform(size=(6, 7)) < 0.5,
+             "entries": rng.uniform(size=(6, 7, 3)) < 0.5}[mask]
+        m.flat[0] = True
+        assert g5_scaled_log_mse(pred, ref, m) == g4_log_mse(pred, ref, m)
+        with pytest.raises(ValueError, match="energy is zero"):
+            g3_scaled_mse(pred, ref, m)
+
+    def test_g5_zero_only_under_the_mask(self):
+        """A prediction that is zero only where the mask keeps scores g4 too."""
+        ref = np.full((2, 2, 3), 0.5)
+        pred = np.zeros((2, 2, 3))
+        pred[1, 1] = 9.0
+        mask = np.array([[1.0, 1.0], [1.0, 0.0]])
+        assert g5_scaled_log_mse(pred, ref, mask) == g4_log_mse(pred, ref, mask)
+
 
 class TestBoundedMinimizer:
     """_fminbound against the scipy routine it reproduces."""
+
+    def test_masked_objective_equals_inline_formula(self):
+        """The search's objective on the masked prediction and log1p(ref),
+        taken once, equals the formula over the whole images, masked after,
+        bit for bit."""
+        for seed in range(60):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(1, 40))
+            ref = rng.uniform(0.0, 3.0, size=(n, n + 1, 3))
+            pred = ref * rng.uniform(0.1, 5.0) * np.exp(rng.normal(0.0, 0.5, size=ref.shape))
+            shape = (n, n + 1) if seed % 2 else ref.shape
+            m = rng.uniform(size=shape) < rng.uniform(0.05, 1.0)
+            m.flat[0] = True
+            a, log_b = pred[m], np.log1p(ref[m])
+            for t in rng.uniform(-6.0, 6.0, size=5):
+                inline = np.mean(((np.log1p(np.exp(t) * pred) - np.log1p(ref)) ** 2)[m])
+                assert _log_mse_at(t, a, log_b) == float(inline), seed
+
+    def test_g5_equals_search_over_inline_formula(self):
+        """g5 returns the float the same search over the inline formula does."""
+        for seed in range(40):
+            rng = np.random.default_rng(400 + seed)
+            pred, ref, mask = random_pair(rng, (int(rng.integers(1, 20)), 9, 3))
+            m = mask != 0
+
+            def inline(t):
+                return float(np.mean(((np.log1p(np.exp(t) * pred) - np.log1p(ref)) ** 2)[m]))
+
+            candidates = [0.0]
+            if lsq_scale(pred, ref, mask) > 0.0:
+                candidates.append(np.log(lsq_scale(pred, ref, mask)))
+            lo, hi = min(candidates) - 5.0, max(candidates) + 5.0
+            _, fun = _fminbound(inline, lo, hi, 1e-12)
+            expected = float(min(min(inline(c) for c in candidates), fun))
+            assert g5_scaled_log_mse(pred, ref, mask) == expected, seed
 
     def test_equals_scipy_bounded_bit_for_bit(self):
         from scipy.optimize import minimize_scalar
@@ -182,8 +239,9 @@ class TestBoundedMinimizer:
             m = np.broadcast_to(mask[..., None], pred.shape)
             mid = rng.uniform(-3.0, 3.0)
             lo, hi = mid - rng.uniform(0.1, 6.0), mid + rng.uniform(0.1, 6.0)
-            x, fun = _fminbound(lambda t: _log_mse_at(t, pred, ref, m), lo, hi, 1e-12)
-            res = minimize_scalar(_log_mse_at, bounds=(lo, hi), args=(pred, ref, m),
+            a, log_b = pred[m], np.log1p(ref[m])
+            x, fun = _fminbound(lambda t: _log_mse_at(t, a, log_b), lo, hi, 1e-12)
+            res = minimize_scalar(_log_mse_at, bounds=(lo, hi), args=(a, log_b),
                                   method="bounded", options={"xatol": 1e-12})
             assert x == res.x and fun == res.fun, seed
 

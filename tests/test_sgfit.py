@@ -1,11 +1,21 @@
 """Lobe fitting: gradient oracle, recovery, trace discipline, visibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, lsq_linear
 
-from sglight.envmap import decode_env, grid_directions, solid_angle_weights
-from sglight.sg import SgEnvironment, SphericalGaussian, normalize, unit_to_spherical
+from sglight import sgfit
+from sglight.envmap import EnvironmentMap, decode_env, grid_directions, solid_angle_weights
+from sglight.sg import (
+    SgEnvironment,
+    SphericalGaussian,
+    lobe_values,
+    normalize,
+    spherical_to_unit,
+    unit_to_spherical,
+)
 from sglight.sgfit import (
     FitConfig,
     FitResult,
@@ -13,6 +23,7 @@ from sglight.sgfit import (
     _grid,
     _normal_equations,
     _objective_parts,
+    _workspace,
     fit_objective,
     fit_sg,
     fit_visibility,
@@ -137,6 +148,50 @@ def dense_jacobian(p, dirs, pred, sqrt_w):
     return jac.reshape(n * 3, s * 6)
 
 
+def ten_lobe_map(rows):
+    """A fixed 10-lobe environment map, rows x 2 rows."""
+    rng = np.random.default_rng(10)
+    lobes = tuple(
+        SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(5.0, 60.0),
+                          rng.uniform(0.2, 3.0, size=3))
+        for _ in range(10)
+    )
+    return decode_env(SgEnvironment(lobes), rows=rows, cols=2 * rows)
+
+
+def objective(p, dirs, target, sqrt_w):
+    """Residuals and prediction, with the lobe values in a fresh workspace."""
+    work = _workspace(dirs.shape[0], p.shape[0])
+    return (*_objective_parts(p, dirs, np.log1p(target), sqrt_w, work[0]), work)
+
+
+def fresh_normal_equations(p, dirs, pred, sqrt_w, r):
+    """The normal equations built from scratch, evaluating the lobes and
+    allocating every array on the call, as fit_sg did before it reused the
+    objective's lobe values and one workspace per fit."""
+    n, s = dirs.shape[0], p.shape[0]
+    sharp = np.exp(p[:, 3])
+    axis = spherical_to_unit(p[:, 4], p[:, 5])
+    st, ct, sp, cp = np.sin(p[:, 4]), np.cos(p[:, 4]), np.sin(p[:, 5]), np.cos(p[:, 5])
+    d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_phi = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    block = np.empty((n, s, 4))
+    block[..., 0] = lobe_values(axis, sharp, dirs[:, None, :])
+    slopes = (dirs @ axis.T - 1.0, dirs @ d_theta.T, dirs @ d_phi.T)
+    for k, slope in enumerate(slopes, start=1):
+        np.multiply(block[..., 0], sharp * slope, out=block[..., k])
+    block = block.reshape(n, s * 4)
+    chain = sqrt_w[:, None] / (1.0 + pred)
+    h, g = np.zeros((s * 6, s * 6)), np.zeros(s * 6)
+    for c in range(3):
+        jac_c = block * chain[:, c, None]
+        scale = np.repeat(np.exp(p[:, c]), 4)
+        cols = (6 * np.arange(s)[:, None] + (c, 3, 4, 5)).reshape(-1)
+        h[np.ix_(cols, cols)] += (jac_c.T @ jac_c) * np.outer(scale, scale)
+        g[cols] += (jac_c.T @ r[c::3]) * scale
+    return h, g
+
+
 class TestJacobian:
     def test_against_finite_differences(self):
         """The fit's normal equations match those of central differences."""
@@ -144,16 +199,16 @@ class TestJacobian:
         p = random_params(rng, 3)
         dirs, sqrt_w = _grid(8, 16)
         target = rng.uniform(0.0, 2.0, size=dirs.shape)
-        r, pred = _objective_parts(p, dirs, target, sqrt_w)
-        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r)
+        r, pred, work = objective(p, dirs, target, sqrt_w)
+        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
         assert h_mat.shape == (p.size, p.size) and g.shape == (p.size,)
         h = 1e-6
         fd = np.zeros((r.size, p.size))
         for k in range(p.size):
             step = np.zeros_like(p)
             step.flat[k] = h
-            plus, _ = _objective_parts(p + step, dirs, target, sqrt_w)
-            minus, _ = _objective_parts(p - step, dirs, target, sqrt_w)
+            plus, _, _ = objective(p + step, dirs, target, sqrt_w)
+            minus, _, _ = objective(p - step, dirs, target, sqrt_w)
             fd[:, k] = (plus - minus) / (2 * h)
         assert np.max(np.abs(h_mat - fd.T @ fd)) <= 1e-8 * np.max(np.abs(h_mat))
         assert np.max(np.abs(g - fd.T @ r)) <= 1e-8 * np.max(np.abs(g))
@@ -165,9 +220,9 @@ class TestJacobian:
         p = random_params(rng, s)
         dirs, sqrt_w = _grid(12, 24)
         target = rng.uniform(0.0, 2.0, size=dirs.shape)
-        r, pred = _objective_parts(p, dirs, target, sqrt_w)
+        r, pred, work = objective(p, dirs, target, sqrt_w)
         jac = dense_jacobian(p, dirs, pred, sqrt_w)
-        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r)
+        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
         h_ref, g_ref = jac.T @ jac, jac.T @ r
         assert np.max(np.abs(h_mat - h_ref)) <= 1e-14 * np.max(np.abs(h_ref))
         assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
@@ -175,16 +230,78 @@ class TestJacobian:
     def test_fit_trajectory_kept(self):
         """A 4-lobe fit of a fixed 10-lobe map keeps the iteration count and
         the loss it had with the dense Jacobian."""
-        rng = np.random.default_rng(10)
+        res = fit_sg(ten_lobe_map(16), FitConfig(num_lobes=4))
+        assert res.converged and res.iterations == 24
+        np.testing.assert_allclose(res.final_loss, 0.028862063916864203, rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 3, 8])
+    def test_reused_values_and_workspace_equal_fresh_build(self, s):
+        """Built from the lobe values the objective left in a workspace that
+        held other iterates' data, H and g equal a fresh build bit for bit,
+        and the objective equals its inline formula."""
+        rng = np.random.default_rng(40 + s)
+        dirs, sqrt_w = _grid(12, 24)
+        target = rng.uniform(0.0, 2.0, size=dirs.shape)
+        log_t = np.log1p(target)
+        work = _workspace(dirs.shape[0], s)
+        p_old, p_rejected, p = (random_params(rng, s) for _ in range(3))
+        r_old, pred_old = _objective_parts(p_old, dirs, log_t, sqrt_w, work[0])
+        _normal_equations(p_old, dirs, pred_old, sqrt_w, r_old, work)
+        _objective_parts(p_rejected, dirs, log_t, sqrt_w, work[0])
+        r, pred = _objective_parts(p, dirs, log_t, sqrt_w, work[0])
+        axis = spherical_to_unit(p[:, 4], p[:, 5])
+        pred_ref = lobe_values(axis, np.exp(p[:, 3]), dirs[:, None, :]) @ np.exp(p[:, 0:3])
+        r_ref = ((np.log1p(pred_ref) - np.log1p(target)) * sqrt_w[:, None]).reshape(-1)
+        assert np.array_equal(pred, pred_ref) and np.array_equal(r, r_ref)
+        h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
+        h_ref, g_ref = fresh_normal_equations(p, dirs, pred, sqrt_w, r)
+        assert np.array_equal(h_mat, h_ref) and np.array_equal(g, g_ref)
+
+    def test_fit_with_rejected_steps_builds_fresh_systems(self, monkeypatch):
+        """In a fit that rejects steps, every system equals a fresh build:
+        the workspace always holds the accepted iterate's lobe values."""
+        rng = np.random.default_rng(0)
         lobes = tuple(
             SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(5.0, 60.0),
                               rng.uniform(0.2, 3.0, size=3))
-            for _ in range(10)
+            for _ in range(6)
         )
-        target = decode_env(SgEnvironment(lobes), rows=16, cols=32)
-        res = fit_sg(target, FitConfig(num_lobes=4))
-        assert res.converged and res.iterations == 24
-        np.testing.assert_allclose(res.final_loss, 0.028862063916864203, rtol=1e-12)
+        data = decode_env(SgEnvironment(lobes), rows=8, cols=16).data
+        target = EnvironmentMap(data * np.exp(rng.normal(0.0, 0.3, size=data.shape)))
+        calls = {"objective": 0, "systems": 0}
+
+        def objective_parts(*args):
+            calls["objective"] += 1
+            return _objective_parts(*args)
+
+        def normal_equations(p, dirs, pred, sqrt_w, r, work):
+            calls["systems"] += 1
+            h_mat, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
+            h_ref, g_ref = fresh_normal_equations(p, dirs, pred, sqrt_w, r)
+            assert np.array_equal(h_mat, h_ref) and np.array_equal(g, g_ref)
+            return h_mat, g
+
+        monkeypatch.setattr(sgfit, "_objective_parts", objective_parts)
+        monkeypatch.setattr(sgfit, "_normal_equations", normal_equations)
+        res = fit_sg(target, FitConfig(num_lobes=4, max_iterations=40))
+        assert calls["systems"] == res.iterations == 40
+        assert calls["objective"] - 1 - res.iterations == 24  # rejected trials
+
+
+class TestFitMemory:
+    @pytest.mark.parametrize("rows, before", [(64, 6_730_849), (128, 26_587_958)])
+    def test_peak_no_higher_than_per_iteration_build(self, rows, before):
+        """Holding the workspace for the whole fit raises its tracemalloc
+        peak no higher than building every array on each iteration did
+        (before: that build's peak on this fit, in bytes)."""
+        target = ten_lobe_map(rows)
+        tracemalloc.start()
+        try:
+            fit_sg(target, FitConfig(num_lobes=8, max_iterations=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before
 
 
 class TestObjective:
