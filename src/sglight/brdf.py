@@ -271,13 +271,11 @@ def _visibility_rows(env: SgEnvironment, shape):
 
 
 def _view_dirs(g: GBuffer, cam, band=slice(None)):
-    """Unit directions from the surface to the camera, (rows of band, W, 3)."""
+    """Reversed pixel rays: unit directions to the camera, (rows of band, W, 3)."""
     h, w = g.shape
     if (cam.height, cam.width) != (h, w):
         raise ValueError(f"gbuffer is {w}x{h} but the camera is {cam.width}x{cam.height}")
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h)[band], indexing="xy")
-    v = cam.center - cam.unproject(jj + 0.5, ii + 0.5, g.depth[band])
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return -cam.pixel_rays(band)
 
 
 def render_diffuse(
@@ -302,8 +300,8 @@ def render_specular(
 ) -> HdrImage:
     """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
 
-    cam provides the view ray per pixel (its unproject method and center)
-    and must match the G-buffer's size. Backfacing pixels (n.v <= 0)
+    cam provides the view ray per pixel (its pixel_rays) and must match
+    the G-buffer's size. Backfacing pixels (n.v <= 0)
     render black. rows, a slice of image rows, shades only that band: its
     rows get the bytes of a full render and all other rows are 0 (the
     threaded CLI path).

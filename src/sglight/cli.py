@@ -127,7 +127,7 @@ def _cmd_render(args) -> int:
     cam = _require(scene, "camera")
     g = _require(scene, "gbuffer")
     env = _require(scene, "lighting")
-    res = scene.render.quadrature
+    res = scene.quadrature
     diffuse = render_diffuse(g, env, resolution=res).data
     h, threads = g.shape[0], args.threads
     if threads == 1:
@@ -163,20 +163,14 @@ def _cmd_vsg_trace(args) -> int:
     scene = parse_scene(args.scene)
     cam = _require(scene, "camera")
     vol = _require(scene, "volume")
-    width, height = scene.render.width, scene.render.height
     composite = composite_sg_before if args.order == "before" else composite_sg_after
-    img = np.zeros((height, width, 3))
+    rays = cam.pixel_rays()
+    img = np.zeros_like(rays)
     origin = cam.center
-    for i in range(height):
-        for j in range(width):
-            ray = np.array(
-                [(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0]
-            )
-            ray /= np.linalg.norm(ray)
-            direction = cam.rotation.T @ ray
-            samples = sample_ray(vol, origin, direction, args.nr)
-            if len(samples):
-                img[i, j] = composite(samples, direction)
+    for i, j in np.ndindex(rays.shape[:2]):
+        samples = sample_ray(vol, origin, rays[i, j], args.nr)
+        if len(samples):
+            img[i, j] = composite(samples, rays[i, j])
     write_pfm(args.out, img.astype(np.float32))
     return 0
 

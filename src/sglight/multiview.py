@@ -39,7 +39,8 @@ class CameraView:
     rotation (3, 3) must be orthonormal with determinant 1 (tolerance
     1e-6); p_cam = rotation @ p_world + translation. Optional per-view
     image (H, W, 3), depth (H, W, ray distance), confidence (H, W), with
-    (H, W) = (height, width).
+    (H, W) = (height, width). pixel_rays builds every pixel's view ray, and
+    the intrinsics must keep each ray's squared length finite.
     """
 
     fx: float
@@ -72,6 +73,11 @@ class CameraView:
             raise ValueError("rotation must have determinant 1")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be positive")
+        with np.errstate(over="ignore"):  # the corner rays are the longest
+            x = (np.array([0.5, self.width - 0.5]) - self.cx) / self.fx
+            y = (np.array([0.5, self.height - 0.5]) - self.cy) / self.fy
+            if not np.all(np.isfinite(x[:, None] ** 2 + y**2 + 1.0)):
+                raise ValueError("intrinsics overflow the pixel rays")
         rot.flags.writeable = False
         trans.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
@@ -93,21 +99,39 @@ class CameraView:
         """World-space camera center -R^T t."""
         return -self.rotation.T @ self.translation
 
+    def pixel_rays(self, rows=slice(None)) -> np.ndarray:
+        """Unit world directions through the centers of a band of pixel rows, (rows, W, 3).
+
+        Each ray is normalized by its own (1, 3) @ (3, 1) and rotated by its own
+        (3, 3) @ (3, 1) product: the bits of R^T (r / np.linalg.norm(r)) for one
+        ray, which a norm over an axis or one (N, 3) @ (3, 3) gemm would not keep.
+        """
+        ii = np.arange(self.height)[rows]
+        r = np.empty((ii.size, self.width, 3))
+        r[..., 0] = (np.arange(self.width) + 0.5 - self.cx) / self.fx
+        r[..., 1] = ((ii + 0.5 - self.cy) / self.fy)[:, None]
+        r[..., 2] = 1.0
+        r /= np.sqrt(r[..., None, :] @ r[..., :, None])[..., 0]
+        return (self.rotation.T @ r[..., None])[..., 0]
+
     def project(self, points):
         """World points (..., 3) -> (u, v, dist, valid).
 
         u, v are continuous pixel coordinates; dist is the Euclidean
         distance to the camera center; valid is False behind the camera.
+        A point too far for float64 gets inf values and no warning;
+        reprojection gives it no vote.
         """
         p = np.asarray(points, dtype=np.float64)
-        # one (1, 3) @ (3, 3) per point: a batched gemm would round differently
-        p_cam = (p[..., None, :] @ self.rotation.T)[..., 0, :] + self.translation
-        z = p_cam[..., 2]
-        valid = z > 0.0
-        safe_z = np.where(valid, z, 1.0)
-        u = self.fx * p_cam[..., 0] / safe_z + self.cx
-        v = self.fy * p_cam[..., 1] / safe_z + self.cy
-        dist = np.linalg.norm(p_cam, axis=-1)
+        with np.errstate(over="ignore"):
+            # one (1, 3) @ (3, 3) per point: a batched gemm would round differently
+            p_cam = (p[..., None, :] @ self.rotation.T)[..., 0, :] + self.translation
+            z = p_cam[..., 2]
+            valid = z > 0.0
+            safe_z = np.where(valid, z, 1.0)
+            u = self.fx * p_cam[..., 0] / safe_z + self.cx
+            v = self.fy * p_cam[..., 1] / safe_z + self.cy
+            dist = np.linalg.norm(p_cam, axis=-1)
         return u, v, dist, valid
 
     def unproject(self, u, v, dist):

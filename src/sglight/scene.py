@@ -11,9 +11,10 @@ format version header "sgscene 1". Sections:
                   confidence: path.pfm                         (optional)
     [lighting]    sg: ax ay az sharpness ir ig ib   (one line per lobe)
                   vsg: volume.vsg                   (alternative to sg)
-    [render]      resolution: width height
-                  quadrature: n_lat n_lon
-                  seed: 0       (ignored; still read so older files load)
+    [render]      quadrature: n_lat n_lon
+                  resolution: width height   (both checked, never read, so
+                  seed: 0                     older files load; images take
+                                              their camera's size)
 
 Referenced files are resolved against the scene file's directory and
 must exist. Cameras must be numbered 0..K-1. Every value must be a
@@ -47,19 +48,12 @@ class SceneError(ValueError):
 
 
 @dataclass
-class RenderSettings:
-    width: int = 32
-    height: int = 32
-    quadrature: tuple = (32, 64)
-
-
-@dataclass
 class Scene:
     cameras: list
     gbuffer: Optional[GBuffer]
     lighting: Optional[SgEnvironment]
     volume: Optional[VsgVolume]
-    render: RenderSettings
+    quadrature: tuple  # render's hemisphere grid, (n_lat, n_lon)
 
 
 def _floats(text: str, count: int, line: int, what: str):
@@ -100,7 +94,7 @@ def parse_scene(path: str) -> Scene:
     gbuffer_entries: dict = {}
     lighting_lobes: list = []
     volume = None
-    render = RenderSettings()
+    quadrature = (32, 64)
     section = None
     cam_index = None
     version_seen = False
@@ -168,13 +162,10 @@ def parse_scene(path: str) -> Scene:
             else:
                 raise SceneError(f"unknown lighting key {key!r}", num)
         elif section == "render":
-            if key == "resolution":
-                render.width, render.height = _ints(value, 2, num, "resolution")
-            elif key == "quadrature":
-                lat, lon = _ints(value, 2, num, "quadrature")
-                render.quadrature = (lat, lon)
-            elif key == "seed":  # checked so older files load; nothing reads it
-                _ints(value, 1, num, "seed")
+            if key == "quadrature":
+                quadrature = tuple(_ints(value, 2, num, "quadrature"))
+            elif key in ("resolution", "seed"):  # checked so older files load; never read
+                _ints(value, 2 if key == "resolution" else 1, num, key)
             else:
                 raise SceneError(f"unknown render key {key!r}", num)
 
@@ -224,10 +215,4 @@ def parse_scene(path: str) -> Scene:
     if lighting_lobes:
         from .sg import SgEnvironment
         lighting = SgEnvironment(tuple(lighting_lobes))
-    return Scene(
-        cameras=views,
-        gbuffer=gbuffer,
-        lighting=lighting,
-        volume=volume,
-        render=render,
-    )
+    return Scene(views, gbuffer, lighting, volume, quadrature)

@@ -42,6 +42,8 @@ TOLERANCE = 1e-12
 DAMPING_INIT = 1e-3
 DAMPING_GROWTH = 4.0
 DAMPING_SHRINK = 0.25
+# a trial whose log intensity or log sharpness reaches this would overflow exp
+LOG_MAX = float(np.log(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,11 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
                 damping *= DAMPING_GROWTH
                 continue
             p_try = p + step.reshape(p.shape)
-            # each trial leaves its lobe values in work; the accepted one is the last
-            r_try, pred_try = _objective_parts(p_try, dirs, log_tgt, sqrt_w, work[0])
-            loss_try = float(r_try @ r_try)
+            loss_try = np.inf  # rejected like a non-finite loss if exp would overflow
+            if p_try[:, :4].max() < LOG_MAX:
+                # each trial leaves its lobe values in work; the accepted one is the last
+                r_try, pred_try = _objective_parts(p_try, dirs, log_tgt, sqrt_w, work[0])
+                loss_try = float(r_try @ r_try)
             if np.isfinite(loss_try) and loss_try < loss:
                 rel_drop = (loss - loss_try) / max(loss, 1e-300)
                 p, r, pred = p_try, r_try, pred_try

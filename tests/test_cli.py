@@ -21,7 +21,9 @@ from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
 from sglight.vsg import VsgVolume, save_vsg
 
+from test_cli_fuzz import SCENE, SCENE_COMMANDS, write_inputs
 from test_scene import write_gbuffer
+from test_sgfit import five_lobe_map
 
 
 def write_wall_scene(dirpath, lighting="sg: 0 0 1 0.0 0.6 0.6 0.6\n",
@@ -211,6 +213,19 @@ class TestFit:
         np.testing.assert_allclose(vals[3], true.sharpness, rtol=2e-2)
         np.testing.assert_allclose(vals[4:7], true.intensity, rtol=2e-2)
 
+    def test_surplus_lobes_converge_without_warning(self, tmp_path, capsys):
+        write_pfm(tmp_path / "env.pfm", five_lobe_map())
+        out = tmp_path / "lobes.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            rc = main(["fit", str(tmp_path / "env.pfm"), "--lobes", "7",
+                       "--max-iterations", "30", "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        lobes = np.array([[float(v) for v in line.split()] for line in lines[:-1]])
+        assert lobes.shape == (7, 7) and np.all(np.isfinite(lobes))
+        assert lines[-1].endswith(" converged=1")
+
     def test_rejects_grayscale_target(self, tmp_path, capsys):
         write_pfm(tmp_path / "g.pfm", np.ones((4, 4), dtype=np.float32))
         rc = main(["fit", str(tmp_path / "g.pfm"), "--out",
@@ -353,7 +368,73 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "o.pfm").exists()
 
 
+def run_fuzz_scene(d, scene, command, target):
+    """Run one command on the fuzz tests' valid input set with warnings as errors."""
+    write_inputs(str(d), {"scene.txt": scene.encode()})
+    argv = [command, str(d / "scene.txt")] + [a.format(d=d) for a in SCENE_COMMANDS[command]]
+    if target is not None:
+        argv[argv.index("--target") + 1] = target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        return main(argv)
+
+
+@pytest.mark.parametrize("command, target", [
+    ("render", None), ("vsg-trace", None), ("reproject", "0"), ("reproject", "1"),
+])
+@pytest.mark.parametrize("intrinsics", ["1e-300 1e-300 2 2", "4 4 1e300 2"])
+def test_overflowing_pixel_rays_are_one_error_line(command, target, intrinsics, tmp_path,
+                                                   capsys):
+    """Camera 0's corner rays have no finite length: the camera is refused."""
+    scene = SCENE.replace("intrinsics: 4 4 2 2", f"intrinsics: {intrinsics}", 1)
+    assert run_fuzz_scene(tmp_path, scene, command, target) == 1
+    assert capsys.readouterr().err == "error: intrinsics overflow the pixel rays\n"
+
+
+@pytest.mark.parametrize("target", ["0", "1"])
+@pytest.mark.parametrize("tx", ["1.5e154", "1e300", "1.7e308"])
+def test_far_camera_gets_no_vote_without_warning(target, tx, tmp_path, capsys):
+    """Camera 1 so far away that its distances overflow: e = inf, exit 0."""
+    scene = SCENE.replace("pose: 1 0 0 0.1", f"pose: 1 0 0 {tx}")
+    assert run_fuzz_scene(tmp_path, scene, "reproject", target) == 0
+    assert capsys.readouterr().err == ""
+    other = 1 - int(target)  # the other view's block of the tiled error map
+    assert np.all(np.isinf(read_pfm(tmp_path / "e.pfm")[:, 4 * other:4 * other + 4]))
+
+
 class TestVsgTrace:
+    def test_renders_camera_size_not_resolution(self, tmp_path):
+        """The image is camera 0's size, and each pixel is one sample_ray
+        along the per-pixel ray build."""
+        from sglight.vsg import composite_sg_before, sample_ray
+        scene = write_volume_scene(tmp_path)
+        scene.write_text(scene.read_text().replace("size: 4 4", "size: 5 3")
+                         .replace("resolution: 4 4", "resolution: 7 2"))
+        rc = main(["vsg-trace", str(scene), "--order", "before", "--nr", "16",
+                   "--out", str(tmp_path / "b.pfm")])
+        assert rc == 0
+        parsed = parse_scene(scene)
+        cam = parsed.cameras[0]
+        want = np.zeros((3, 5, 3))
+        for i in range(3):
+            for j in range(5):
+                ray = np.array([(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0])
+                ray = cam.rotation.T @ (ray / np.linalg.norm(ray))
+                samples = sample_ray(parsed.volume, cam.center, ray, 16)
+                if len(samples):
+                    want[i, j] = composite_sg_before(samples, ray)
+        assert np.any(want > 0.0)
+        assert np.array_equal(read_pfm(tmp_path / "b.pfm"), want.astype(np.float32))
+
+    def test_malformed_resolution_is_a_parse_error(self, tmp_path, capsys):
+        """resolution: is not read, but it is still checked, on its line."""
+        scene = write_volume_scene(tmp_path)
+        scene.write_text(scene.read_text().replace("resolution: 4 4", "resolution: 4"))
+        rc = main(["vsg-trace", str(scene), "--order", "after", "--out",
+                   str(tmp_path / "a.pfm")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 11: resolution needs 2 values, got 1\n"
+
     def test_orders_produce_different_images(self, tmp_path):
         scene = write_volume_scene(tmp_path)
         rc = main(["vsg-trace", str(scene), "--order", "before",

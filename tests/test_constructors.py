@@ -117,12 +117,27 @@ def test_camera_rejects_non_finite_maps(name, bad):
     (lambda: normalize(np.array([1e300, 1e300, -1e300])), "infinite length"),
     (lambda: CameraView(**{**_camera_args(), "rotation": np.diag([1e300, 1.0, 1.0])}),
      "orthonormal"),
-], ids=["sg-axis", "normalize", "camera-rotation"])
+    (lambda: CameraView(**{**_camera_args(), "fx": 1e-300, "fy": 1e-300}), "pixel rays"),
+    (lambda: CameraView(**{**_camera_args(), "cx": 1e300}), "pixel rays"),
+    (lambda: CameraView(**{**_camera_args(), "cy": -1e300}), "pixel rays"),
+    (lambda: CameraView(**{**_camera_args(), "fy": 5e-324}), "pixel rays"),
+], ids=["sg-axis", "normalize", "camera-rotation", "camera-focal", "camera-cx",
+        "camera-cy", "camera-denormal-focal"])
 def test_finite_values_that_overflow_are_rejected_without_warning(build, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             build()
+
+
+def test_camera_keeps_intrinsics_whose_pixel_rays_stay_finite():
+    """The corner rays bound every pixel ray: x^2 near 1e300 still passes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cam = CameraView(**{**_camera_args(), "fx": 1e-150, "cy": 1e149})
+        rays = cam.pixel_rays()
+    assert np.all(np.isfinite(rays))
+    np.testing.assert_allclose(np.linalg.norm(rays, axis=-1), 1.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

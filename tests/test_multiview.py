@@ -1,6 +1,7 @@
 """Cameras, cross-view consistency, weights/masks, and surface splatting."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,68 @@ class TestCamera:
         cam = simple_camera()
         p = cam.unproject(1.5, 2.5, 3.0)
         np.testing.assert_allclose(np.linalg.norm(p - cam.center), 3.0)
+
+
+def random_rotation(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.linalg.det(q))
+
+
+def one_ray(cam, i, j):
+    """The per-pixel build: normalize the camera-frame ray, then rotate it."""
+    ray = np.array([(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0])
+    ray /= np.linalg.norm(ray)
+    return cam.rotation.T @ ray
+
+
+class TestPixelRays:
+    def test_bits_of_the_one_ray_build(self):
+        """Whole images and row bands of random rotated, translated,
+        non-square cameras: every ray has the per-pixel build's bits."""
+        rng = np.random.default_rng(14)
+        for _ in range(12):
+            w, h = (int(n) for n in rng.integers(2, 24, size=2))
+            cam = CameraView(fx=rng.uniform(2.0, 60.0), fy=rng.uniform(2.0, 60.0),
+                             cx=rng.uniform(-w, 2 * w), cy=rng.uniform(-h, 2 * h),
+                             rotation=random_rotation(rng),
+                             translation=rng.normal(size=3) * 10.0 ** rng.integers(0, 7),
+                             width=w, height=h)
+            ref = np.array([[one_ray(cam, i, j) for j in range(w)] for i in range(h)])
+            assert np.array_equal(cam.pixel_rays(), ref)
+            for band in (slice(0, 1), slice(h // 3, h - 1), slice(h - 1, h), slice(1, h, 2)):
+                assert np.array_equal(cam.pixel_rays(band), ref[band])
+
+    def test_unit_and_through_the_pixel_centers(self):
+        cam = posed_views().views[1]
+        rays = cam.pixel_rays()
+        np.testing.assert_allclose(np.linalg.norm(rays, axis=-1), 1.0, atol=1e-15)
+        jj, ii = np.meshgrid(np.arange(cam.width) + 0.5, np.arange(cam.height) + 0.5)
+        u, v, _, valid = cam.project(cam.center + 2.0 * rays)
+        assert np.all(valid)
+        np.testing.assert_allclose(u, jj, atol=1e-12)
+        np.testing.assert_allclose(v, ii, atol=1e-12)
+
+
+class TestFarCamera:
+    @pytest.mark.parametrize("t", [1.5e154, 1e300, 1.7e308])
+    def test_overflowing_distance_is_inf_without_warning(self, t):
+        cam = simple_camera(translation=np.array([t, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, _, dist, valid = cam.project(np.array([[0.0, 0.0, 2.0], [1.0, -1.0, 3.0]]))
+        assert np.all(valid) and np.all(np.isinf(dist))
+        assert not np.any(bilinear_lookup(np.ones((4, 4)), u, np.full(2, 2.0))[1])
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_far_view_gets_no_vote(self, target):
+        views = posed_views(target=target).views[:2]
+        far = dataclasses.replace(views[1], translation=np.array([1e300, 0.0, 0.0]))
+        mvs = MultiViewSet((views[0], far), target=target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = depth_projection_errors(mvs, np.indices((8, 8)).transpose(1, 2, 0))
+        assert np.all(np.isinf(e[..., 1 - target]))
+        assert np.all(multiview_mask(e)[..., 2 - target] == 0)
 
 
 class TestCameraMaps:

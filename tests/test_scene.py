@@ -60,8 +60,9 @@ class TestParse:
         lobe = scene.lighting.lobes[0]
         np.testing.assert_allclose(lobe.axis, [0.0, 0.0, 1.0])
         assert lobe.sharpness == 5.0
-        assert scene.render.quadrature == (16, 32)
-        assert not hasattr(scene.render, "seed")  # read, then dropped
+        assert scene.quadrature == (16, 32)
+        assert not hasattr(scene, "seed")  # read, then dropped
+        assert not hasattr(scene, "resolution")
         assert scene.volume is None
 
     def test_lobe_axis_normalized_at_parse(self, tmp_path):

@@ -1,6 +1,7 @@
 """Lobe fitting: gradient oracle, recovery, trace discipline, visibility."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,17 @@ class TestObjective:
         assert fit_objective(env, decode_env(env, 16, 32)) == 0.0
 
 
+def five_lobe_map():
+    """A 22x44 float32 map of five random lobes, which seven lobes overfit."""
+    rng = np.random.default_rng(1)
+    lobes = tuple(
+        SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(1.0, 80.0),
+                          rng.uniform(0.0, 3.0, size=3))
+        for _ in range(5)
+    )
+    return decode_env(SgEnvironment(lobes), rows=22, cols=44).data.astype(np.float32)
+
+
 class TestFitRecovery:
     def test_single_lobe(self):
         """Fitting a rendered single lobe recovers its parameters."""
@@ -366,6 +378,19 @@ class TestFitRecovery:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(num_lobes=0)
+
+    def test_surplus_lobes_stay_finite_without_warning(self):
+        """Seven lobes on a five-lobe map: LM trials that drive a surplus
+        lobe's log sharpness toward exp's overflow are rejected like a
+        non-finite loss, so the fit ends at finite lobes and converges."""
+        target = EnvironmentMap(five_lobe_map())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_sg(target, FitConfig(num_lobes=7, max_iterations=30))
+        packed = res.environment.packed
+        assert np.all(np.isfinite(packed)) and np.all(np.log(packed[:, 3]) < sgfit.LOG_MAX)
+        assert res.converged and np.isfinite(res.final_loss)
+        assert np.all(np.diff(res.loss_trace) <= 0.0)
 
 
 class TestMatching:
