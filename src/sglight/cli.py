@@ -128,8 +128,8 @@ def _cmd_render(args) -> int:
     g = _require(scene, "gbuffer")
     env = _require(scene, "lighting")
     res = scene.quadrature
-    diffuse = render_diffuse(g, env, resolution=res).data
     h, threads = g.shape[0], args.threads
+    # specular first: its roughness and camera-size checks fail before any shading
     if threads == 1:
         specular = render_specular(g, env, cam, resolution=res).data
     else:
@@ -138,7 +138,7 @@ def _cmd_render(args) -> int:
             slice(start, min(start + max(1, h // threads), h))
             for start in range(0, h, max(1, h // threads))
         ]
-        specular = np.zeros_like(diffuse)
+        specular = np.zeros(g.albedo.shape)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = pool.map(
                 lambda band: (band, render_specular(g, env, cam, resolution=res,
@@ -147,6 +147,7 @@ def _cmd_render(args) -> int:
             )
             for band, part in parts:
                 specular[band] = part
+    diffuse = render_diffuse(g, env, resolution=res).data
     with np.errstate(over="ignore"):  # overflow is reported below
         images = {kind: img.astype(np.float32) for kind, img in
                   (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}

@@ -119,11 +119,11 @@ class CameraView:
 
         u, v are continuous pixel coordinates; dist is the Euclidean
         distance to the camera center; valid is False behind the camera.
-        A point too far for float64 gets inf values and no warning;
+        A point too far for float64 gets inf or nan values and no warning;
         reprojection gives it no vote.
         """
         p = np.asarray(points, dtype=np.float64)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             # one (1, 3) @ (3, 3) per point: a batched gemm would round differently
             p_cam = (p[..., None, :] @ self.rotation.T)[..., 0, :] + self.translation
             z = p_cam[..., 2]
@@ -147,7 +147,8 @@ class CameraView:
         )
         ray /= np.linalg.norm(ray, axis=-1, keepdims=True)
         p_cam = ray * dist[..., None]
-        return ((p_cam - self.translation)[..., None, :] @ self.rotation)[..., 0, :]
+        with np.errstate(over="ignore"):  # a pose far beyond float64 gives inf points
+            return ((p_cam - self.translation)[..., None, :] @ self.rotation)[..., 0, :]
 
 
 @dataclass(frozen=True)

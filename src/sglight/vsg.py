@@ -187,14 +187,18 @@ def _fields(rec):
     return rec[..., 0], rec[..., 1:4], rec[..., 4:7], rec[..., 7]
 
 
-def _march(origins, dirs, t_near, t_far, n_r: int):
-    """Midpoints of n_r equal segments of [t_near, t_far] along each ray.
+def _march(vol: VsgVolume, origins, dirs, t_near, t_far, n_r: int, nearest: bool = False):
+    """Records at the midpoints of n_r equal segments of [t_near, t_far] along each ray.
 
-    Returns distances (..., n_r) and points (..., n_r, 3); the one formula
-    shared by the per-ray and the batched sampler.
+    The one sampler behind sample_ray and bench_orders: rays (..., 3) of any
+    leading shape and their box overlap (callers drop misses) give distances
+    (..., n_r) and records (..., n_r, 8).
     """
     t = t_near[..., None] + (np.arange(n_r) + 0.5) * (t_far - t_near)[..., None] / n_r
-    return t, origins[..., None, :] + t[..., None] * dirs[..., None, :]
+    points = origins[..., None, :] + t[..., None] * dirs[..., None, :]
+    rec = np.empty(t.shape + (8,))
+    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8), nearest)
+    return t, rec
 
 
 def sample_ray(
@@ -215,9 +219,7 @@ def sample_ray(
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     if not hit:
         return RaySampleSet(origin, direction, np.zeros(0), *_fields(np.zeros((0, 8))))
-    t, points = _march(origin, direction, t_near, t_far, n_r)
-    rec = np.empty((n_r, 8))
-    _interp_records(vol, points, rec, nearest)
+    t, rec = _march(vol, origin, direction, t_near, t_far, n_r, nearest)
     return RaySampleSet(origin, direction, t, *_fields(rec))
 
 
@@ -262,30 +264,17 @@ def composite_sg_after(samples: RaySampleSet, l) -> np.ndarray:
 
 
 def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
-    """Rays with origins inside the box (guaranteed hits), random directions."""
+    """Rays with origins uniform in [bbox_min, bbox_max) and random unit directions.
+
+    Every origin is in the box, so every overlap is [0, t_far] with t_far >= 0
+    and each sample lies in the box: a ray that starts on a min face and
+    leaves through it has t_far = 0 and all its samples at its origin.
+    """
     span = vol.bbox_max - vol.bbox_min
     origins = vol.bbox_min + rng.random((count, 3)) * span
     dirs = rng.normal(size=(count, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     return origins, dirs
-
-
-def _sample_batch(vol: VsgVolume, origins, dirs, n_r: int):
-    """Vectorized sampler for many guaranteed-hit rays.
-
-    Fills one (rays, n_r, 8) record array, marching and interpolating
-    about CHUNK_POINTS points at a time; the records equal sample_ray's.
-    """
-    t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
-    if not np.all(hit):
-        raise ValueError("batch sampler expects rays that hit the box")
-    rec = np.empty((len(origins), n_r, 8))
-    step = max(1, CHUNK_POINTS // n_r)
-    for lo in range(0, len(origins), step):
-        sl = slice(lo, lo + step)
-        _, points = _march(origins[sl], dirs[sl], t_near[sl], t_far[sl], n_r)
-        _interp_records(vol, points.reshape(-1, 3), rec[sl].reshape(-1, 8))
-    return _fields(rec)
 
 
 def bench_orders(
@@ -296,7 +285,8 @@ def bench_orders(
     Rays are drawn, sampled and composited max(1, BENCH_SAMPLES // n_r)
     at a time, so the records held at once are at most BENCH_SAMPLES * 64
     bytes (1 MiB, reached at n_r = 128) however many rays are timed, or
-    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. Sampling is
+    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. _march samples
+    each chunk's rays as it samples sample_ray's one ray. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
     (rays * n_r for "before", rays for "after") and the median over runs
@@ -311,7 +301,9 @@ def bench_orders(
     while done < rays:
         n = min(max(1, BENCH_SAMPLES // n_r), rays - done)
         origins, dirs = _random_rays(vol, n, rng)
-        alpha, intensity, axis, sharpness = _sample_batch(vol, origins, dirs, n_r)
+        t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
+        _, rec = _march(vol, origins, dirs, t_near, t_far, n_r)
+        alpha, intensity, axis, sharpness = _fields(rec)
         for r in range(runs):
             t0 = time.perf_counter()
             _composite_before(alpha, intensity, axis, sharpness, dirs)

@@ -357,6 +357,35 @@ def test_overflow_inside_the_renderers_is_one_error_line(case, threads, tmp_path
     assert not list(tmp_path.glob("x_*.pfm"))
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case, message", [
+    ("roughness", "error: roughness must be > 0 (delta lobes unsupported)\n"),
+    ("size", "error: gbuffer is 4x4 but the camera is 5x4\n"),
+])
+def test_specular_checks_fail_before_diffuse_shading(case, message, threads, tmp_path,
+                                                      capsys, monkeypatch):
+    """A zero roughness or a camera of the wrong size is reported before the
+    diffuse pass shades anything."""
+    import sglight.brdf
+
+    def no_diffuse(*args, **kwargs):
+        raise AssertionError("render_diffuse ran before the specular checks")
+
+    monkeypatch.setattr(sglight.brdf, "render_diffuse", no_diffuse)
+    scene = write_wall_scene(tmp_path)
+    if case == "roughness":
+        rough = np.full((4, 4), 0.4, dtype=np.float32)
+        rough[2, 1] = 0.0
+        write_pfm(tmp_path / "rough.pfm", rough)
+    else:
+        scene.write_text(scene.read_text().replace("size: 4 4", "size: 5 4"))
+    rc = main(["render", str(scene), "--out-prefix", str(tmp_path / "x"),
+               "--threads", threads])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.glob("x_*.pfm"))
+
+
 def test_out_of_memory_is_one_error_line(tmp_path, capsys):
     """numpy refuses the 7 PiB sample array at once, so no memory is touched."""
     scene = write_volume_scene(tmp_path)
@@ -400,6 +429,19 @@ def test_far_camera_gets_no_vote_without_warning(target, tx, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     other = 1 - int(target)  # the other view's block of the tiled error map
     assert np.all(np.isinf(read_pfm(tmp_path / "e.pfm")[:, 4 * other:4 * other + 4]))
+
+
+def test_far_target_pose_gives_uniform_weights_without_warning(tmp_path, capsys):
+    """The target itself turned 45 degrees about z and moved to (1.7e308,
+    1.7e308, 0): its points overflow, so every e is inf and every weight is
+    the uniform 0.5, exit 0."""
+    c = repr(0.5 ** 0.5)
+    scene = SCENE.replace("pose: 1 0 0 0.1\npose: 0 1 0 0",
+                          f"pose: {c} -{c} 0 1.7e308\npose: {c} {c} 0 1.7e308")
+    assert run_fuzz_scene(tmp_path, scene, "reproject", "1") == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isinf(read_pfm(tmp_path / "e.pfm")))
+    assert np.all(read_pfm(tmp_path / "w.pfm") == 0.5)
 
 
 class TestVsgTrace:

@@ -166,6 +166,22 @@ class TestFarCamera:
         assert np.all(np.isinf(e[..., 1 - target]))
         assert np.all(multiview_mask(e)[..., 2 - target] == 0)
 
+    def test_far_target_pose_gives_uniform_weights(self):
+        """A target turned 45 degrees about z and moved to (1.7e308, 1.7e308, 0)
+        unprojects its pixels to inf points: every e is inf and every row
+        falls back to uniform weights, with no warning."""
+        c = np.sqrt(0.5)
+        views = posed_views(target=1).views[:2]
+        far = dataclasses.replace(views[1], rotation=np.array([[c, -c, 0.0], [c, c, 0.0],
+                                                               [0.0, 0.0, 1.0]]),
+                                  translation=np.array([1.7e308, 1.7e308, 0.0]))
+        mvs = MultiViewSet((views[0], far), target=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = depth_projection_errors(mvs, np.indices((8, 8)).transpose(1, 2, 0))
+            w = multiview_weight(e)
+        assert np.all(np.isinf(e)) and np.all(w == 0.5)
+
 
 class TestCameraMaps:
     def test_maps_must_match_size(self):

@@ -179,25 +179,28 @@ def ray_records(s):
 
 
 class TestChunkedSampling:
-    """The chunked interpolation kernel is exact: the batched and the
-    per-ray sampler agree bit for bit with each other and with the
-    per-corner reference, whatever the chunk size."""
+    """The chunked interpolation kernel is exact: the sampler run on a
+    batch of rays, as bench_orders runs it, agrees bit for bit with
+    sample_ray and with the per-corner reference, whatever the chunk size."""
 
     @pytest.mark.parametrize("dims", [(1, 4, 5), (1, 1, 1), (16, 16, 16)])
-    @pytest.mark.parametrize("n_r", [16, 37])
+    @pytest.mark.parametrize("n_r", [16, 37, "above_chunk"])
     @pytest.mark.parametrize("chunk", [None, 7, 50])
     def test_batch_equals_per_ray(self, dims, n_r, chunk, monkeypatch):
+        """n_r "above_chunk" is CHUNK_POINTS + 1 at the chunk size in force
+        (4097 at the default), so every ray's samples span two chunks."""
         if chunk is not None:
             monkeypatch.setattr(vsg, "CHUNK_POINTS", chunk)
+        if n_r == "above_chunk":
+            n_r = vsg.CHUNK_POINTS + 1
         rng = np.random.default_rng(11)
         vol = random_volume(rng, dims=dims)
         origins, dirs = vsg._random_rays(vol, 40, rng)
-        batch = np.concatenate(
-            [f.reshape(40, n_r, -1) for f in vsg._sample_batch(vol, origins, dirs, n_r)],
-            axis=-1,
-        )
+        t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
+        t, batch = vsg._march(vol, origins, dirs, t_near, t_far, n_r)
         for i in range(40):
             s = sample_ray(vol, origins[i], dirs[i], n_r=n_r)
+            assert np.array_equal(t[i], s.t)
             assert np.array_equal(batch[i], ray_records(s))
             points = origins[i] + s.t[:, None] * dirs[i]
             assert np.array_equal(batch[i], reference_records(vol, points))
