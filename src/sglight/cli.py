@@ -209,10 +209,7 @@ def _cmd_reproject(args) -> int:
     from .scene import parse_scene
     scene = parse_scene(args.scene)
     mvs = MultiViewSet(tuple(scene.cameras), target=args.target)
-    tview = mvs.views[args.target]
-    if tview.depth is None:  # the pixel grid below is sized by the depth map
-        raise CliError(f"camera {args.target} has no depth map")
-    h, w = tview.depth.shape
+    h, w = mvs.views[args.target].height, mvs.views[args.target].width
     k = len(mvs)
     pixels = np.indices((h, w)).transpose(1, 2, 0)  # (h, w, 2) of (row, col)
     emap = depth_projection_errors(mvs, pixels)

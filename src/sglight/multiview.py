@@ -224,15 +224,16 @@ def bilinear_lookup(img: np.ndarray, u, v):
 def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     """Consistency errors e_k = |d_k - z_k| for target pixels, (..., K).
 
-    pixels (..., 2) holds (row, col) pairs; the target depth map must be
-    present and positive at all of them. The point cloud is projected into
-    each view once; entry k covers view k (the target's own, looked up at
-    the pixel center, is ~0). Out-of-frame or behind-camera projections
-    give +inf.
+    pixels (..., 2) holds (row, col) pairs; every view needs a depth map,
+    and the target's must be positive at all of them. The point cloud is
+    projected into each view once; entry k covers view k (the target's
+    own, looked up at the pixel center, is ~0). Out-of-frame or
+    behind-camera projections give +inf.
     """
+    for k, view in enumerate(mvs.views):
+        if view.depth is None:
+            raise ValueError(f"view {k} has no depth map")
     tview = mvs.views[mvs.target]
-    if tview.depth is None:
-        raise ValueError("target view has no depth map")
     pixels = np.asarray(pixels).astype(np.int64)
     row, col = pixels[..., 0], pixels[..., 1]
     d_t = tview.depth[row, col]
@@ -242,8 +243,6 @@ def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     points = tview.unproject(*centers, d_t)
     errors = np.full(d_t.shape + (len(mvs),), np.inf)
     for k, view in enumerate(mvs.views):
-        if view.depth is None:
-            raise ValueError(f"view {k} has no depth map")
         u, v, dist, valid = view.project(points)
         if k == mvs.target:  # the round trip can leave a border pixel's support
             u, v = centers

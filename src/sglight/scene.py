@@ -84,6 +84,31 @@ def _resolve(path: str, base: str, line: int) -> str:
     return full
 
 
+def _lobe(text: str, count: int, line: int, what: str):
+    from .sg import SphericalGaussian, normalize
+    vals = _floats(text, count, line, what)
+    return SphericalGaussian(normalize(np.array(vals[0:3])), vals[3], np.array(vals[4:7]))
+
+
+def _volume(path: str):
+    from .vsg import load_vsg
+    return load_vsg(path)
+
+
+# section -> key -> (label, count, parser) of its numbers, or the function
+# that takes the resolved path of its referenced file (str keeps the path,
+# read once the whole file has parsed). pose and sg collect one item per line.
+_GRAMMAR = {
+    "camera": {"intrinsics": ("intrinsics", 4, _floats), "pose": ("pose row", 4, _floats),
+               "size": ("size", 2, _ints), "image": str, "depth": str, "confidence": str},
+    "gbuffer": dict.fromkeys(GBUFFER_KEYS, str),
+    "lighting": {"sg": ("sg lobe", 7, _lobe), "vsg": _volume},
+    # resolution and seed are checked so older files load, and never read
+    "render": {"quadrature": ("quadrature", 2, _ints), "resolution": ("resolution", 2, _ints),
+               "seed": ("seed", 1, _ints)},
+}
+
+
 def parse_scene(path: str) -> Scene:
     """Parse and load a scene file, including referenced PFM/volume data."""
     base = os.path.dirname(os.path.abspath(path))
@@ -91,12 +116,8 @@ def parse_scene(path: str) -> Scene:
         lines = fh.read().splitlines()
 
     cameras: dict = {}
-    gbuffer_entries: dict = {}
-    lighting_lobes: list = []
-    volume = None
-    quadrature = (32, 64)
-    section = None
-    cam_index = None
+    sections = {"gbuffer": {}, "lighting": {"sg": []}, "render": {}}
+    section = store = None
     version_seen = False
 
     for num, rawline in enumerate(lines, start=1):
@@ -119,10 +140,10 @@ def parse_scene(path: str) -> Scene:
                     raise SceneError(f"bad camera section {name!r}", num) from None
                 if cam_index in cameras:
                     raise SceneError(f"duplicate camera {cam_index}", num)
-                cameras[cam_index] = {"pose": [], "line": num}
-                section = "camera"
-            elif name in ("gbuffer", "lighting", "render"):
-                section = name
+                section, store = "camera", {"pose": [], "line": num}
+                cameras[cam_index] = store
+            elif name in sections:
+                section, store = name, sections[name]
             else:
                 raise SceneError(f"unknown section [{name}]", num)
             continue
@@ -131,43 +152,18 @@ def parse_scene(path: str) -> Scene:
         if ":" not in text:
             raise SceneError("expected 'key: values'", num)
         key, value = (part.strip() for part in text.split(":", 1))
-
-        if section == "camera":
-            cam = cameras[cam_index]
-            if key == "intrinsics":
-                cam["intrinsics"] = _floats(value, 4, num, "intrinsics")
-            elif key == "pose":
-                cam["pose"].append(_floats(value, 4, num, "pose row"))
-            elif key == "size":
-                cam["size"] = _ints(value, 2, num, "size")
-            elif key in ("image", "depth", "confidence"):
-                cam[key] = _resolve(value, base, num)
-            else:
-                raise SceneError(f"unknown camera key {key!r}", num)
-        elif section == "gbuffer":
-            if key not in GBUFFER_KEYS:
-                raise SceneError(f"unknown gbuffer key {key!r}", num)
-            gbuffer_entries[key] = _resolve(value, base, num)
-        elif section == "lighting":
-            if key == "sg":
-                from .sg import SphericalGaussian, normalize
-                vals = _floats(value, 7, num, "sg lobe")
-                axis = normalize(np.array(vals[0:3]))
-                lighting_lobes.append(
-                    SphericalGaussian(axis, vals[3], np.array(vals[4:7]))
-                )
-            elif key == "vsg":
-                from .vsg import load_vsg
-                volume = load_vsg(_resolve(value, base, num))
-            else:
-                raise SceneError(f"unknown lighting key {key!r}", num)
-        elif section == "render":
-            if key == "quadrature":
-                quadrature = tuple(_ints(value, 2, num, "quadrature"))
-            elif key in ("resolution", "seed"):  # checked so older files load; never read
-                _ints(value, 2 if key == "resolution" else 1, num, key)
-            else:
-                raise SceneError(f"unknown render key {key!r}", num)
+        rule = _GRAMMAR[section].get(key)
+        if rule is None:
+            raise SceneError(f"unknown {section} key {key!r}", num)
+        if isinstance(rule, tuple):
+            label, count, parser = rule
+            value = parser(value, count, num, label)
+        else:
+            value = rule(_resolve(value, base, num))
+        if key in ("pose", "sg"):
+            store[key].append(value)
+        else:
+            store[key] = value
 
     if not version_seen:
         raise SceneError("empty scene file", len(lines) + 1)
@@ -202,7 +198,7 @@ def parse_scene(path: str) -> Scene:
             )
         )
 
-    gbuffer = None
+    gbuffer, gbuffer_entries = None, sections["gbuffer"]
     if gbuffer_entries:
         for req in GBUFFER_KEYS[:4]:  # confidence is optional
             if req not in gbuffer_entries:
@@ -211,8 +207,9 @@ def parse_scene(path: str) -> Scene:
         gbuffer = GBuffer(**{key: pfm.read_pfm(gbuffer_entries[key]) for key in GBUFFER_KEYS
                              if key in gbuffer_entries})
 
-    lighting = None
-    if lighting_lobes:
+    lighting, lobes = None, sections["lighting"]["sg"]
+    if lobes:
         from .sg import SgEnvironment
-        lighting = SgEnvironment(tuple(lighting_lobes))
-    return Scene(views, gbuffer, lighting, volume, quadrature)
+        lighting = SgEnvironment(tuple(lobes))
+    return Scene(views, gbuffer, lighting, sections["lighting"].get("vsg"),
+                 tuple(sections["render"].get("quadrature", (32, 64))))

@@ -13,7 +13,6 @@ from sglight.brdf import (
     GBuffer,
     render_diffuse,
     render_specular,
-    mc_render_specular,
 )
 from sglight.envmap import decode_env
 from sglight.metrics import (
@@ -41,6 +40,7 @@ from sglight.vsg import (
 )
 from sglight.aggregation import TokenSequence, masked_attention, weighted_attention
 
+from mc_oracles import mc_render_specular
 from test_aggregation import random_setup
 from test_brdf import constant_env, wall_camera
 from test_cli import write_wall_scene

@@ -13,8 +13,6 @@ from sglight.brdf import (
     ggx_ndf,
     half_vector,
     hemisphere_grid,
-    mc_render_diffuse,
-    mc_render_specular,
     onb,
     reflect,
     render_diffuse,
@@ -30,6 +28,8 @@ from sglight.multiview import CameraView
 from sglight.pfm import write_pfm
 from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
+
+from mc_oracles import mc_render_diffuse, mc_render_specular
 
 
 def wall_camera(size=4, fx=20.0, plane_z=2.0):

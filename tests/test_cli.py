@@ -641,6 +641,18 @@ class TestReproject:
         assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
         assert not (tmp_path / "e.pfm").exists()
 
+    @pytest.mark.parametrize("view", [0, 2], ids=["target", "source"])
+    def test_missing_depth_map_is_one_error_line(self, view, tmp_path, capsys):
+        """A view without a depth map, the target or a source, fails before
+        any depth is read: one error line naming the view, no files."""
+        scene_path = write_posed_scene(tmp_path)
+        scene_path.write_text(scene_path.read_text().replace(f"depth: d{view}.pfm\n", ""))
+        outs = [tmp_path / n for n in ("e.pfm", "w.pfm", "m.txt")]
+        rc = main(["reproject", str(scene_path), "--target", "0", "--out", *map(str, outs)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: view {view} has no depth map\n"
+        assert not any(out.exists() for out in outs)
+
     @pytest.mark.parametrize("view", [0, 1], ids=["target", "source"])
     def test_infinite_depth_is_one_error_line(self, view, tmp_path, capsys):
         """One inf depth pixel, in the target's map or a source view's, is
@@ -812,6 +824,36 @@ class TestEntryPoints:
         argv = _probe_argv(command, tmp_path)
         loaded = _modules_after(f"assert main({argv!r}) == 0")
         assert loaded == (sorted(_CLI_MODULES | {f"sglight.{m}" for m in extra}), others)
+
+    @pytest.mark.parametrize("command", ["fit", "render", "vsg-trace", "reproject", "metrics",
+                                         "bench-order"])
+    def test_only_bench_order_draws_random_numbers(self, command, tmp_path, monkeypatch,
+                                                   capsys):
+        """With numpy's generator and seed sequence made to raise, every
+        command but bench-order writes the bytes of an unpatched run."""
+        plain, patched = tmp_path / "plain", tmp_path / "patched"
+        plain.mkdir()
+        patched.mkdir()
+        argvs = [_probe_argv(command, d) for d in (plain, patched)]  # inputs draw numbers
+        inputs = {p.name for p in plain.iterdir()}
+
+        def run(d, argv):
+            assert main(argv) == 0
+            return ({p.name: p.read_bytes() for p in d.iterdir() if p.name not in inputs},
+                    capsys.readouterr())
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a command drew random numbers")
+
+        want = run(plain, argvs[0])
+        assert want[0] or want[1].out
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        monkeypatch.setattr(np.random, "SeedSequence", draw)
+        if command == "bench-order":  # the patch reaches the one command that draws
+            with pytest.raises(AssertionError, match="drew random numbers"):
+                main(argvs[1])
+        else:
+            assert run(patched, argvs[1]) == want
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
