@@ -28,7 +28,7 @@ _EXPORTS = {  # defining module -> the names it exports here
                  "multiview_weight splat_visible_surface",
     "aggregation": "AttentionParams TokenSequence build_tokens masked_attention "
                    "mean_variance_aggregate positional_encode weighted_attention",
-    "sgfit": "FitConfig FitResult fit_sg fit_visibility sg_gradients",
+    "sgfit": "FitResult fit_sg fit_visibility sg_gradients",
     "metrics": "g1_angular g2_mse g3_scaled_mse g4_log_mse g5_scaled_log_mse g6_entropy "
                "lsq_scale",
 }

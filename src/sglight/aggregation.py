@@ -149,15 +149,11 @@ def weighted_attention(
     """Convex combination of view values steered by external weights.
 
     Softmax probabilities of the K view scores are multiplied by the
-    nonnegative weights and L1 renormalized. All products zero (for
+    finite nonnegative weights and L1 renormalized. All products zero (for
     example an all-zero weight vector) falls back to the target token's
     own value row, with coefficients reported as zeros.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (seq.count,):
-        raise ValueError("weights must have K entries")
-    if np.any(np.isnan(w)) or np.any(w < 0.0):
-        raise ValueError("weights must be >= 0")
+    w = _frozen(weights, "weights", lo=0.0, shape=(seq.count,))
     c = _attention_probs(seq, params, seq.tokens) * w
     total = c.sum()
     if total == 0.0:
@@ -197,15 +193,14 @@ def stack_attention(
 def mean_variance_aggregate(values: np.ndarray, weights) -> np.ndarray:
     """Weighted mean and variance, concatenated to a 2d vector.
 
-    weights must already be normalized (sum 1 within 1e-8). The variance
-    is the weighted second central moment, elementwise.
+    weights (K,) must be finite, >= 0 and already normalized (sum 1
+    within 1e-8). The variance is the weighted second central moment,
+    elementwise.
     """
     values = np.asarray(values, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if values.ndim != 2 or w.shape != (values.shape[0],):
-        raise ValueError("values must be (K, d) with K weights")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be >= 0")
+    if values.ndim != 2:
+        raise ValueError("values must be (K, d)")
+    w = _frozen(weights, "weights", lo=0.0, shape=values.shape[:1])
     if abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("weights must sum to 1")
     mean = w @ values

@@ -104,11 +104,9 @@ def _require(scene, what: str):
 
 def _cmd_fit(args) -> int:
     from .envmap import EnvironmentMap
-    from .sgfit import FitConfig, fit_sg
-    result = fit_sg(
-        EnvironmentMap(read_pfm(args.target)),
-        FitConfig(num_lobes=args.lobes, max_iterations=args.max_iterations),
-    )
+    from .sgfit import fit_sg
+    result = fit_sg(EnvironmentMap(read_pfm(args.target)), num_lobes=args.lobes,
+                    max_iterations=args.max_iterations)
     # one line per packed lobe row: ax ay az sharpness ir ig ib
     lines = [" ".join(f"{v:.17g}" for v in row) for row in result.environment.packed]
     lines.append(

@@ -11,9 +11,11 @@ point into every view k, and compare the view's stored depth at the
 projected pixel (bilinear) against the point's distance to that
 camera, e_k = |d_k - z_k|; the target reads its own depth at the pixel
 center. Out-of-frame or behind-camera projections get e_k = +inf.
-Weights are w = max(-log e, 0) (capped, then L1 normalized, uniform
-fallback when all raw weights vanish) and the binary mask keeps views
-with e_k < c_th (0.05 m), always keeping the target itself.
+Weights are w = max(-log e, 0) (capped at WEIGHT_CAP, then L1
+normalized, uniform fallback when all raw weights vanish) and the binary
+mask keeps views with e_k < c_th = MASK_THRESHOLD, always keeping the
+target itself. c_th, the depth-confidence cut of estimate_depth_scale and
+the fixed_sigma splat width are module constants, not parameters.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ if TYPE_CHECKING:
 
 WEIGHT_CAP = 50.0
 MASK_THRESHOLD = 0.05  # meters
-CONFIDENCE_THRESHOLD = 0.9
-SPLAT_SIGMA = 0.15
+CONFIDENCE_THRESHOLD = 0.9  # estimate_depth_scale keeps confidence above this
+SPLAT_SIGMA = 0.15  # meters, the fixed_sigma splat's depth-gap deviation
 
 
 @dataclass(frozen=True)
@@ -216,9 +218,8 @@ def bilinear_lookup(img: np.ndarray, u, v):
         + img[y1, x0] * (1 - fx) * fy
         + img[y1, x1] * fx * fy
     )
-    zero = np.zeros_like(val)
     keep = inside[..., None] if img.ndim == 3 else inside
-    return np.where(keep, val, zero), inside
+    return np.where(keep, val, 0.0), inside
 
 
 def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
@@ -274,30 +275,27 @@ def multiview_weight(errors, base: str = "e") -> np.ndarray:
         raw = -np.log(e) if base == "e" else -np.log10(e) if base == "10" else None
     if raw is None:
         raise ValueError(f"unknown log base {base!r}")
-    raw = np.where(e == 0.0, WEIGHT_CAP, raw)  # -log(0) -> capped maximum
+    # -log(0) = inf clips to the cap; an out-of-frame -log(inf) = -inf to no vote
     raw = np.clip(raw, 0.0, WEIGHT_CAP)
-    raw = np.where(np.isinf(e), 0.0, raw)  # out of frame carries no vote
     total = raw.sum(axis=-1, keepdims=True)
     uniform = total == 0.0
     return np.where(uniform, 1.0 / e.shape[-1], raw / np.where(uniform, 1.0, total))
 
 
-def multiview_mask(errors, threshold: float = MASK_THRESHOLD) -> np.ndarray:
-    """Binary mask (..., K+1): leading 1 for the target, then e_k < threshold.
+def multiview_mask(errors) -> np.ndarray:
+    """Binary mask (..., K+1): leading 1 for the target, then e_k < MASK_THRESHOLD.
 
     The comparison is strict, so e_k exactly at the threshold is dropped.
     """
     e = _errors(errors)
-    return np.concatenate([np.ones_like(e[..., :1]), e < threshold], axis=-1).astype(np.int64)
+    return np.concatenate([np.ones_like(e[..., :1]), e < MASK_THRESHOLD], axis=-1).astype(np.int64)
 
 
-def estimate_depth_scale(
-    pred, ref, confidence, threshold: float = CONFIDENCE_THRESHOLD
-) -> float:
+def estimate_depth_scale(pred, ref, confidence) -> float:
     """Scalar tau minimizing sum (tau * pred - ref)^2 over confident pixels.
 
-    Pixels qualify when confidence > threshold (strict). Raises when no
-    pixel qualifies or the qualifying prediction energy is zero.
+    Pixels qualify when confidence > CONFIDENCE_THRESHOLD (strict). Raises
+    when no pixel qualifies or the qualifying prediction energy is zero.
     """
     pred = np.asarray(pred, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -305,7 +303,7 @@ def estimate_depth_scale(
     if pred.shape != ref.shape or pred.shape != conf.shape:
         raise ValueError("pred, ref, confidence must share a shape")
     from .metrics import lsq_scale
-    return lsq_scale(pred, ref, conf > threshold)
+    return lsq_scale(pred, ref, conf > CONFIDENCE_THRESHOLD)
 
 
 def voxel_centers(dims, bbox_min, bbox_max) -> np.ndarray:
@@ -326,7 +324,6 @@ def splat_visible_surface(
     bbox_min,
     bbox_max,
     variant: str = "fixed_sigma",
-    sigma: float = SPLAT_SIGMA,
     extras: Optional[np.ndarray] = None,
 ) -> VisibleSurfaceVolume:
     """Lift the view's appearance onto a voxel grid weighted by rho.
@@ -335,7 +332,7 @@ def splat_visible_surface(
     looked-up depth and C the confidence, the surface likelihood is
 
         variant "confidence":  rho = exp(-C * (d - D)^2)
-        variant "fixed_sigma": rho = exp(-(d - D)^2 / (2 * sigma^2))
+        variant "fixed_sigma": rho = exp(-(d - D)^2 / (2 * SPLAT_SIGMA^2))
 
     The feature is rho * [image RGB, normal, albedo, roughness] (10
     channels), with optional extra image channels appended. Voxels that
@@ -356,7 +353,7 @@ def splat_visible_surface(
         conf, _ = bilinear_lookup(g.confidence, u, v)
         rho = np.exp(-conf * gap * gap)
     else:
-        rho = np.exp(-gap * gap / (2.0 * sigma * sigma))
+        rho = np.exp(-gap * gap / (2.0 * SPLAT_SIGMA * SPLAT_SIGMA))
     rho = np.where(ok, rho, 0.0)
 
     stack = [cam.image, g.normal, g.albedo, g.roughness[..., None]]

@@ -10,16 +10,17 @@ format version header "sgscene 1". Sections:
     [gbuffer]     albedo/roughness/normal/depth: path.pfm
                   confidence: path.pfm                         (optional)
     [lighting]    sg: ax ay az sharpness ir ig ib   (one line per lobe)
-                  vsg: volume.vsg                   (alternative to sg)
+                  vsg: volume.vsg   (vsg-trace, bench-order; beside sg)
     [render]      quadrature: n_lat n_lon
                   resolution: width height   (both checked, never read, so
                   seed: 0                     older files load; images take
                                               their camera's size)
 
 Referenced files are resolved against the scene file's directory and
-must exist. Cameras must be numbered 0..K-1. Every value must be a
-finite number. Parse errors carry the line number; the array checks are
-left to the constructors the loaded maps are handed to.
+must exist. Cameras must be numbered 0..K-1. pose and sg lines collect
+one item each; any other key may appear once per section. Every value
+must be a finite number. Parse errors carry the line number; the array
+checks are left to the constructors the loaded maps are handed to.
 """
 
 from __future__ import annotations
@@ -155,6 +156,8 @@ def parse_scene(path: str) -> Scene:
         rule = _GRAMMAR[section].get(key)
         if rule is None:
             raise SceneError(f"unknown {section} key {key!r}", num)
+        if key in store and key not in ("pose", "sg"):  # before a vsg file loads
+            raise SceneError(f"duplicate {section} key {key!r}", num)
         if isinstance(rule, tuple):
             label, count, parser = rule
             value = parser(value, count, num, label)

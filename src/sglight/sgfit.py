@@ -7,7 +7,8 @@ positivity is built into the parameterization. Optimization is damped
 Gauss-Newton (Levenberg-Marquardt) with a multiplicative damping
 schedule; steps are only accepted when they lower the objective, so the
 recorded loss trace is monotone. Initialization greedily extracts peaks
-from the residual map (sharpness 10, intensity at the peak value).
+from the residual map (sharpness 10, intensity at the peak value). The
+lobe count and the iteration cap are fit_sg's only settings.
 
 Per-pixel visibility factors for fixed lobes reduce to a box-constrained
 linear least-squares problem per pixel, solved exactly in [0, 1].
@@ -44,20 +45,6 @@ DAMPING_GROWTH = 4.0
 DAMPING_SHRINK = 0.25
 # a trial whose log intensity or log sharpness reaches this would overflow exp
 LOG_MAX = float(np.log(np.finfo(np.float64).max))
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Fit settings: the lobe count and the cap on LM iterations."""
-
-    num_lobes: int = 3
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.num_lobes < 1:
-            raise ValueError("num_lobes must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -190,17 +177,21 @@ def _grid(rows: int, cols: int):
     return grid_directions(rows, cols).reshape(-1, 3), sqrt_w
 
 
-def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult:
-    """Fit config.num_lobes lobes to the map by damped Gauss-Newton.
+def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 200) -> FitResult:
+    """Fit num_lobes lobes to the map in at most max_iterations damped Gauss-Newton steps.
 
     Deterministic. The returned trace holds the objective after every
     accepted step (the initial objective first) and never increases.
     """
+    if num_lobes < 1:
+        raise ValueError("num_lobes must be >= 1")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     dirs, sqrt_w = _grid(target.rows, target.cols)
     log_tgt = np.log1p(target.data.reshape(-1, 3))
 
-    p = _greedy_init(target.data, dirs.reshape(target.data.shape), config.num_lobes)
-    work = _workspace(dirs.shape[0], config.num_lobes)
+    p = _greedy_init(target.data, dirs.reshape(target.data.shape), num_lobes)
+    work = _workspace(dirs.shape[0], num_lobes)
     r, pred = _objective_parts(p, dirs, log_tgt, sqrt_w, work[0])
     loss = float(r @ r)
     trace = [loss]
@@ -208,7 +199,7 @@ def fit_sg(target: EnvironmentMap, config: FitConfig = FitConfig()) -> FitResult
     iterations = 0
     converged = False
 
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         h, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
         diag = np.diag(h).copy()
         diag[diag <= 0.0] = 1e-12

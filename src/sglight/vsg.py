@@ -94,8 +94,6 @@ class RaySampleSet:
     Empty sets (zero samples) mean the ray missed the box.
     """
 
-    origin: np.ndarray
-    direction: np.ndarray
     t: np.ndarray  # distances along the ray, shape (n,)
     alpha: np.ndarray  # (n,)
     intensity: np.ndarray  # (n, 3)
@@ -218,9 +216,9 @@ def sample_ray(
     direction = _as_unit(direction)
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     if not hit:
-        return RaySampleSet(origin, direction, np.zeros(0), *_fields(np.zeros((0, 8))))
+        return RaySampleSet(np.zeros(0), *_fields(np.zeros((0, 8))))
     t, rec = _march(vol, origin, direction, t_near, t_far, n_r, nearest)
-    return RaySampleSet(origin, direction, t, *_fields(rec))
+    return RaySampleSet(t, *_fields(rec))
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from sglight.sg import (
     integrate_sg_sphere,
     normalize,
 )
-from sglight.sgfit import FitConfig, fit_sg, sg_gradients
+from sglight.sgfit import fit_sg, sg_gradients
 from sglight.vsg import (
     bench_orders,
     composite_sg_after,
@@ -153,7 +153,7 @@ def test_criterion_05_order_benchmark():
 def _fit_recovery(true_env):
     target = decode_env(true_env, rows=32, cols=64)
     t0 = time.perf_counter()
-    result = fit_sg(target, FitConfig(num_lobes=len(true_env.lobes)))
+    result = fit_sg(target, num_lobes=len(true_env.lobes))
     elapsed = time.perf_counter() - t0
     axis_deg = 0.0
     d_log_eta = 0.0
@@ -217,7 +217,7 @@ def test_criterion_08_weight_and_mask():
     """Hand-derived reprojection weight and mask cases match exactly."""
     w = multiview_weight([0.5, 2.0])
     w_ok = np.array_equal(w, [1.0, 0.0])
-    m = multiview_mask([0.04, 0.06, 0.01], threshold=0.05)
+    m = multiview_mask([0.04, 0.06, 0.01])
     m_ok = np.array_equal(m, [1, 1, 0, 1])
     rng = np.random.default_rng(8)
     sums_ok = True

@@ -131,6 +131,14 @@ class TestWeightedAttention:
         with pytest.raises(ValueError):
             weighted_attention(seq, params, np.array([1.0, -0.1, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        """An infinite weight would give NaN coefficients after inf / inf."""
+        rng = np.random.default_rng(11)
+        seq, params = random_setup(rng)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            weighted_attention(seq, params, np.array([bad, 1.0, 0.0, 0.0]))
+
 
 class TestStack:
     def test_two_layers_feed_forward(self):
@@ -169,6 +177,11 @@ class TestMeanVariance:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
             mean_variance_aggregate(np.ones((2, 2)), [0.5, 0.6])
+
+    def test_nan_weight_rejected(self):
+        """abs(nan - 1) > 1e-8 is False, so the sum check alone lets NaN through."""
+        with pytest.raises(ValueError, match="weights must be finite"):
+            mean_variance_aggregate(np.ones((2, 2)), [np.nan, 1.0])
 
 
 class TestPositionalEncode:

@@ -477,6 +477,16 @@ class TestVsgTrace:
         assert rc == 1
         assert capsys.readouterr().err == "error: line 11: resolution needs 2 values, got 1\n"
 
+    def test_repeated_intrinsics_is_a_parse_error(self, tmp_path, capsys):
+        """A second intrinsics line is refused, not loaded over the first."""
+        scene = write_volume_scene(tmp_path)
+        scene.write_text(scene.read_text().replace("size: 4 4\n",
+                                                   "size: 4 4\nintrinsics: 9 9 1 1\n"))
+        rc = main(["vsg-trace", str(scene), "--order", "after", "--out",
+                   str(tmp_path / "a.pfm")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 8: duplicate camera key 'intrinsics'\n"
+
     def test_orders_produce_different_images(self, tmp_path):
         scene = write_volume_scene(tmp_path)
         rc = main(["vsg-trace", str(scene), "--order", "before",

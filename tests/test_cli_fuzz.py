@@ -164,7 +164,7 @@ def test_base_inputs_pass(argv):
 BAD_NUMBERS = ["nan", "inf", "-inf", "1e999", "-1e999", "x", "0x10", "1,5", ""]
 BAD_LINES = ["[nope]", "no colon here", "[camera.x]", "[camera.0]", "[camera.2]",
              "[camera.9]", "bogus: 1", "sg: 1 2", "pose: 1 0 0 0", "depth: missing.pfm",
-             "vsg: missing.vsg"]
+             "vsg: missing.vsg", "quadrature: 4 8", "intrinsics: 4 4 2 2"]
 BAD_HEADERS = ["sgscene 2", "sgscene", "SGSCENE 1", "", "[render]"]
 
 

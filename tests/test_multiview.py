@@ -394,11 +394,11 @@ class TestWeights:
 
 class TestMask:
     def test_hand_case(self):
-        m = multiview_mask([0.04, 0.06, 0.01], threshold=0.05)
+        m = multiview_mask([0.04, 0.06, 0.01])
         np.testing.assert_array_equal(m, [1, 1, 0, 1])
 
     def test_boundary_is_strict(self):
-        m = multiview_mask([0.05], threshold=0.05)
+        m = multiview_mask([0.05])
         np.testing.assert_array_equal(m, [1, 0])
 
     def test_target_always_on(self):
@@ -425,7 +425,7 @@ class TestDepthScale:
         ref = np.array([[2.0, 100.0]])
         pred = np.array([[1.0, 1.0]])
         conf = np.array([[1.0, 0.9]])
-        tau = estimate_depth_scale(pred, ref, conf, threshold=0.9)
+        tau = estimate_depth_scale(pred, ref, conf)
         np.testing.assert_allclose(tau, 2.0)
 
     def test_no_qualifying_pixel_raises(self):
@@ -483,7 +483,6 @@ class TestSplat:
         vol = splat_visible_surface(
             g, cam, dims=(1, 1, 2),
             bbox_min=[-0.5, -0.5, 1.75], bbox_max=[0.5, 0.5, 2.75],
-            sigma=0.15,
         )
         expected = np.exp(-0.25 / (2.0 * 0.15 * 0.15))
         np.testing.assert_allclose(vol.rho[0, 0, 1], expected, rtol=1e-12)

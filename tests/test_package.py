@@ -1,6 +1,9 @@
 """The package namespace: every exported name loads its module on first use."""
 
+import ast
 import importlib
+import inspect
+import pathlib
 import subprocess
 import sys
 
@@ -24,7 +27,7 @@ EXPORTS = {
     "aggregation": ["AttentionParams", "TokenSequence", "build_tokens",
                     "masked_attention", "mean_variance_aggregate",
                     "positional_encode", "weighted_attention"],
-    "sgfit": ["FitConfig", "FitResult", "fit_sg", "fit_visibility", "sg_gradients"],
+    "sgfit": ["FitResult", "fit_sg", "fit_visibility", "sg_gradients"],
     "metrics": ["g1_angular", "g2_mse", "g3_scaled_mse", "g4_log_mse",
                 "g5_scaled_log_mse", "g6_entropy", "lsq_scale"],
 }
@@ -41,7 +44,7 @@ def test_names_are_the_defining_modules_objects(module):
 
 
 def test_all_and_dir_list_every_name():
-    assert len(NAMES) == 58
+    assert len(NAMES) == 57
     assert sorted(sglight.__all__) == NAMES
     assert set(NAMES) <= set(dir(sglight))
     assert "__version__" in dir(sglight)
@@ -106,3 +109,89 @@ def test_numpy_is_the_only_runtime_dependency():
     names, factors = proc.stdout.splitlines()
     assert set(EXPORTS) | {"cli", "scene", "__main__"} <= set(names.split())
     assert factors == "0.250000 1.000000"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _defaulted_parameters():
+    """(callee name, parameter, positional index or None, default) of every
+    defaulted parameter that sglight's own source declares."""
+    for path in sorted((ROOT / "src" / "sglight").glob("*.py")):
+        module = importlib.import_module(
+            "sglight" if path.stem == "__init__" else f"sglight.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, getattr(module, node.name), False)]
+            elif isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                # the constructor only when this module wrote it (a dataclass counts)
+                init = getattr(cls.__init__, "__module__", None) == module.__name__
+                defs = [(node.name, cls, False)] if init else []
+                defs += [(item.name, getattr(cls, item.name),
+                          not any(getattr(d, "id", "") in ("staticmethod", "classmethod")
+                                  for d in item.decorator_list))
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for name, obj, has_self in defs:
+                if isinstance(obj, property):
+                    continue
+                params = list(inspect.signature(obj).parameters.values())[int(has_self):]
+                for i, p in enumerate(params):
+                    if p.default is not p.empty:
+                        pos = i if p.kind == p.POSITIONAL_OR_KEYWORD else None
+                        yield name, p.name, pos, p.default
+
+
+def _calls_by_name():
+    """Every call in src/, tests/ and perfbench/, keyed by the called name."""
+    calls = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passed(call, name, pos):
+    """The argument node a call gives the parameter, or None when it passes none.
+
+    A *args reaching the position or a **kwargs stands for an unknown value.
+    """
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) and pos is not None and i <= pos:
+            return arg
+        if i == pos:
+            return arg
+    for kw in call.keywords:
+        if kw.arg in (name, None):
+            return kw.value
+    return None
+
+
+def _is_default(node, default):
+    try:
+        return bool(ast.literal_eval(node) == default)
+    except ValueError:  # a name or expression: a second value
+        return False
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A parameter that every call leaves at its default is a constant.
+
+    Scans sglight's own definitions and every call in the source, the tests
+    and the benchmark; a call passing nothing, or a literal equal to the
+    default, does not count as setting it.
+    """
+    calls = _calls_by_name()
+    default_only = [
+        f"{func}({name}={default!r})"
+        for func, name, pos, default in _defaulted_parameters()
+        if all(_is_default(arg, default) for arg in
+               (_passed(call, name, pos) for call in calls.get(func, []))
+               if arg is not None)
+    ]
+    assert default_only == []

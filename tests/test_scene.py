@@ -208,6 +208,34 @@ class TestErrors:
         with pytest.raises(SceneError):
             parse_scene(scene_file)
 
+    @pytest.mark.parametrize("section,line", [
+        ("camera.0", "intrinsics: 4 4 2 2"),
+        ("camera.0", "size: 4 4"),
+        ("camera.0", "depth: depth.pfm"),
+        ("gbuffer", "albedo: albedo.pfm"),
+        ("render", "quadrature: 4 8"),
+        ("render", "resolution: 4 4"),
+        ("render", "seed: 0"),
+    ])
+    def test_repeated_single_valued_key(self, tmp_path, section, line):
+        """A second line of a key that holds one value is refused on its line."""
+        write_gbuffer(tmp_path)
+        scene_file = tmp_path / "scene.txt"
+        scene_file.write_text(f"sgscene 1\n[{section}]\n{line}\n# again\n{line}\n")
+        with pytest.raises(SceneError, match="duplicate") as exc:
+            parse_scene(scene_file)
+        assert exc.value.line == 5
+
+    def test_repeated_vsg_is_refused_before_loading(self, tmp_path):
+        """The second vsg file is never read: its bad header would raise otherwise."""
+        save_vsg(tmp_path / "vol.vsg", VsgVolume(np.zeros((1, 1, 1, 8)), [0, 0, 0], [1, 1, 1]))
+        (tmp_path / "bad.vsg").write_bytes(b"not a volume\n")
+        scene_file = tmp_path / "scene.txt"
+        scene_file.write_text("sgscene 1\n[lighting]\nvsg: vol.vsg\nvsg: bad.vsg\n")
+        with pytest.raises(SceneError, match="duplicate lighting key 'vsg'") as exc:
+            parse_scene(scene_file)
+        assert exc.value.line == 4
+
     def test_duplicate_camera(self, tmp_path):
         text = "sgscene 1\n[camera.0]\n[camera.0]\n"
         scene_file = tmp_path / "scene.txt"

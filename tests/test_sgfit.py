@@ -18,7 +18,6 @@ from sglight.sg import (
     unit_to_spherical,
 )
 from sglight.sgfit import (
-    FitConfig,
     FitResult,
     _box_lsq,
     _grid,
@@ -231,7 +230,7 @@ class TestJacobian:
     def test_fit_trajectory_kept(self):
         """A 4-lobe fit of a fixed 10-lobe map keeps the iteration count and
         the loss it had with the dense Jacobian."""
-        res = fit_sg(ten_lobe_map(16), FitConfig(num_lobes=4))
+        res = fit_sg(ten_lobe_map(16), num_lobes=4)
         assert res.converged and res.iterations == 24
         np.testing.assert_allclose(res.final_loss, 0.028862063916864203, rtol=1e-12)
 
@@ -284,7 +283,7 @@ class TestJacobian:
 
         monkeypatch.setattr(sgfit, "_objective_parts", objective_parts)
         monkeypatch.setattr(sgfit, "_normal_equations", normal_equations)
-        res = fit_sg(target, FitConfig(num_lobes=4, max_iterations=40))
+        res = fit_sg(target, num_lobes=4, max_iterations=40)
         assert calls["systems"] == res.iterations == 40
         assert calls["objective"] - 1 - res.iterations == 24  # rejected trials
 
@@ -298,7 +297,7 @@ class TestFitMemory:
         target = ten_lobe_map(rows)
         tracemalloc.start()
         try:
-            fit_sg(target, FitConfig(num_lobes=8, max_iterations=100))
+            fit_sg(target, num_lobes=8, max_iterations=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,7 +332,7 @@ class TestFitRecovery:
             normalize([0.4, -0.2, 0.89]), 14.0, [1.3, 0.7, 0.5]
         )
         target = decode_env(SgEnvironment((true,)), rows=16, cols=32)
-        res = fit_sg(target, FitConfig(num_lobes=1))
+        res = fit_sg(target, num_lobes=1)
         fit = res.environment.lobes[0]
         angle = np.degrees(
             np.arccos(np.clip(fit.axis @ true.axis, -1.0, 1.0))
@@ -348,7 +347,7 @@ class TestFitRecovery:
         true = SphericalGaussian(normalize([0.1, 0.8, 0.5]), 8.0,
                                  [2.0, 1.0, 0.4])
         target = decode_env(SgEnvironment((true,)), rows=16, cols=32)
-        res = fit_sg(target, FitConfig(num_lobes=1))
+        res = fit_sg(target, num_lobes=1)
         trace = np.array(res.loss_trace)
         assert np.all(np.diff(trace) <= 0.0)
         assert trace[0] > trace[-1]
@@ -358,7 +357,7 @@ class TestFitRecovery:
         true = SphericalGaussian(normalize([0.5, 0.5, 0.7]), 5.0,
                                  [1.0, 1.0, 1.0])
         target = decode_env(SgEnvironment((true,)), rows=8, cols=16)
-        res = fit_sg(target, FitConfig(num_lobes=1))
+        res = fit_sg(target, num_lobes=1)
         np.testing.assert_allclose(
             fit_objective(res.environment, target), res.final_loss,
             rtol=1e-10,
@@ -368,8 +367,8 @@ class TestFitRecovery:
         true = SphericalGaussian(normalize([0.2, 0.3, 0.9]), 11.0,
                                  [0.8, 1.2, 0.6])
         target = decode_env(SgEnvironment((true,)), rows=8, cols=16)
-        a = fit_sg(target, FitConfig(num_lobes=1))
-        b = fit_sg(target, FitConfig(num_lobes=1))
+        a = fit_sg(target, num_lobes=1)
+        b = fit_sg(target, num_lobes=1)
         assert a.loss_trace == b.loss_trace
         np.testing.assert_array_equal(
             a.environment.lobes[0].axis, b.environment.lobes[0].axis
@@ -377,7 +376,7 @@ class TestFitRecovery:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FitConfig(num_lobes=0)
+            fit_sg(EnvironmentMap(np.ones((4, 8, 3))), num_lobes=0)
 
     def test_surplus_lobes_stay_finite_without_warning(self):
         """Seven lobes on a five-lobe map: LM trials that drive a surplus
@@ -386,7 +385,7 @@ class TestFitRecovery:
         target = EnvironmentMap(five_lobe_map())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit_sg(target, FitConfig(num_lobes=7, max_iterations=30))
+            res = fit_sg(target, num_lobes=7, max_iterations=30)
         packed = res.environment.packed
         assert np.all(np.isfinite(packed)) and np.all(np.log(packed[:, 3]) < sgfit.LOG_MAX)
         assert res.converged and np.isfinite(res.final_loss)

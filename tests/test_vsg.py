@@ -284,8 +284,7 @@ class TestCompositing:
             eta = rng.uniform(0.1, 2.0, size=3)
             lam = rng.uniform(0.0, 40.0)
             s = RaySampleSet(
-                np.zeros(3), l, np.array([1.0]), np.array([1.0]),
-                eta[None, :], axis[None, :], np.array([lam]),
+                np.array([1.0]), np.array([1.0]), eta[None, :], axis[None, :], np.array([lam]),
             )
             before = composite_sg_before(s, l)
             after = composite_sg_after(s, l)
@@ -318,8 +317,7 @@ class TestCompositing:
         """The lobe argument is -l: a lobe facing the ray lights it."""
         axis = np.array([0.0, 0.0, 1.0])
         s = RaySampleSet(
-            np.zeros(3), axis, np.array([1.0]), np.array([1.0]),
-            np.ones((1, 3)), axis[None, :], np.array([50.0]),
+            np.array([1.0]), np.array([1.0]), np.ones((1, 3)), axis[None, :], np.array([50.0]),
         )
         toward = composite_sg_before(s, [0.0, 0.0, -1.0])
         away = composite_sg_before(s, [0.0, 0.0, 1.0])
