@@ -226,6 +226,8 @@ def _cmd_metrics(args) -> int:
     from .metrics import METRICS
     a = np.asarray(read_pfm(args.a), dtype=np.float64)
     if args.metric == "g6":
+        if args.mask is not None:
+            raise CliError("g6 takes no mask")
         print(f"{METRICS['g6'](a):.17g}")
         return 0
     b = np.asarray(read_pfm(args.b), dtype=np.float64)

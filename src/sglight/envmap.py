@@ -26,10 +26,6 @@ class HdrImage:
             raise ValueError(f"HdrImage data must be (H, W, 3), got {data.shape}")
         object.__setattr__(self, "data", data)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 @dataclass(frozen=True)
 class EnvironmentMap:
@@ -54,16 +50,10 @@ class EnvironmentMap:
         return self.data.shape[1]
 
 
-def grid_angles(rows: int, cols: int):
-    """Cell-center angles: theta (rows,), phi (cols,)."""
-    theta = (np.arange(rows) + 0.5) * np.pi / rows
-    phi = (np.arange(cols) + 0.5) * 2.0 * np.pi / cols
-    return theta, phi
-
-
 def grid_directions(rows: int, cols: int) -> np.ndarray:
     """Cell-center unit directions, shape (rows, cols, 3)."""
-    theta, phi = grid_angles(rows, cols)
+    theta = (np.arange(rows) + 0.5) * np.pi / rows
+    phi = (np.arange(cols) + 0.5) * 2.0 * np.pi / cols
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     return spherical_to_unit(tt, pp)
 
@@ -90,7 +80,7 @@ def decode_env(
 def hdr_forward(x) -> np.ndarray:
     """Range compression ln(1 + x) for linear radiance x >= 0."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("hdr_forward domain is x >= 0")
     return np.log1p(x)
 
@@ -98,7 +88,7 @@ def hdr_forward(x) -> np.ndarray:
 def hdr_inverse(y) -> np.ndarray:
     """Inverse of hdr_forward: exp(y) - 1 for y >= 0."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y < 0.0):
+    if not np.all(y >= 0.0):
         raise ValueError("hdr_inverse domain is y >= 0")
     return np.expm1(y)
 

@@ -37,7 +37,7 @@ def _pair(pred, ref, mask):
 
 def _log_pair(pred, ref, mask):
     a, b, m = _pair(pred, ref, mask)
-    if np.any(a[m] < 0.0) or np.any(b[m] < 0.0):
+    if not (np.all(a[m] >= 0.0) and np.all(b[m] >= 0.0)):
         raise ValueError("log-domain metrics need nonnegative inputs")
     return a, b, m
 
@@ -57,14 +57,12 @@ def lsq_scale(pred, ref, mask) -> float:
 
 def g1_angular(pred, ref, mask) -> float:
     """Mean angle arccos(pred . ref) over unmasked pixels, unit inputs."""
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(ref, dtype=np.float64)
-    if a.shape != b.shape or a.shape[-1] != 3:
+    a, b, m = _pair(pred, ref, mask)
+    if a.shape[-1] != 3:
         raise ValueError("inputs must be matching (..., 3) vector fields")
-    if np.ndim(mask) != a.ndim - 1:
+    if m.ndim != a.ndim - 1:
         raise ValueError("mask must have one entry per pixel")
-    dots = np.sum(a * b, axis=-1)
-    dots = dots[_mask_for(dots, mask)]
+    dots = np.sum(a * b, axis=-1)[m]
     if np.any(np.abs(dots) > 1.0 + DOT_TOL):
         raise ValueError("dot products exceed unit range beyond tolerance")
     return float(np.mean(np.arccos(np.clip(dots, -1.0, 1.0))))
@@ -167,7 +165,7 @@ def g5_scaled_log_mse(pred, ref, mask) -> float:
 def g6_entropy(albedo) -> float:
     """Mean of -A log A for entries in (0, 1]."""
     a = np.asarray(albedo, dtype=np.float64)
-    if np.any(a <= 0.0) or np.any(a > 1.0):
+    if not (np.all(a > 0.0) and np.all(a <= 1.0)):
         raise ValueError("entropy domain is (0, 1]")
     return float(np.mean(-a * np.log(a)))
 

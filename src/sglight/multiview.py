@@ -141,7 +141,7 @@ class CameraView:
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         dist = np.asarray(dist, dtype=np.float64)
-        if np.any(dist <= 0.0):
+        if not np.all(dist > 0.0):
             raise ValueError("distance must be > 0")
         ray = np.stack(
             [(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)],
@@ -183,10 +183,6 @@ class VisibleSurfaceVolume:
     rho: np.ndarray  # (X, Y, Z) in [0, 1]
     bbox_min: np.ndarray
     bbox_max: np.ndarray
-
-    @property
-    def dims(self) -> tuple:
-        return self.rho.shape
 
 
 def bilinear_lookup(img: np.ndarray, u, v):
@@ -344,27 +340,24 @@ def splat_visible_surface(
         raise ValueError("camera view needs an image to splat")
     if variant == "confidence" and g.confidence is None:
         raise ValueError("confidence variant needs gbuffer confidence")
-    centers = voxel_centers(dims, bbox_min, bbox_max)
-    u, v, dist, valid = cam.project(centers)
-    depth, inside = bilinear_lookup(g.depth, u, v)
-    ok = valid & inside
-    gap = np.where(ok, dist - depth, 0.0)
-    if variant == "confidence":
-        conf, _ = bilinear_lookup(g.confidence, u, v)
-        rho = np.exp(-conf * gap * gap)
-    else:
-        rho = np.exp(-gap * gap / (2.0 * SPLAT_SIGMA * SPLAT_SIGMA))
-    rho = np.where(ok, rho, 0.0)
-
-    stack = [cam.image, g.normal, g.albedo, g.roughness[..., None]]
+    # one lookup samples every plane: depth, the confidence variant's C, then the features
+    head = [g.depth[..., None]] + ([g.confidence[..., None]] if variant == "confidence" else [])
+    stack = head + [cam.image, g.normal, g.albedo, g.roughness[..., None]]
     if extras is not None:
         extras = np.asarray(extras, dtype=np.float64)
         if extras.shape[:2] != g.shape:
             raise ValueError("extras must match the gbuffer size")
         stack.append(extras)
-    planes = np.concatenate(stack, axis=-1)
-    values, _ = bilinear_lookup(planes, u, v)
-    features = rho[..., None] * np.where(ok[..., None], values, 0.0)
+    u, v, dist, valid = cam.project(voxel_centers(dims, bbox_min, bbox_max))
+    values, inside = bilinear_lookup(np.concatenate(stack, axis=-1), u, v)
+    ok = valid & inside
+    gap = np.where(ok, dist - values[..., 0], 0.0)
+    if variant == "confidence":
+        rho = np.exp(-values[..., 1] * gap * gap)
+    else:
+        rho = np.exp(-gap * gap / (2.0 * SPLAT_SIGMA * SPLAT_SIGMA))
+    rho = np.where(ok, rho, 0.0)
+    features = rho[..., None] * np.where(ok[..., None], values[..., len(head) :], 0.0)
     return VisibleSurfaceVolume(
         features, rho, np.asarray(bbox_min, float), np.asarray(bbox_max, float)
     )

@@ -65,7 +65,7 @@ def _as_unit(v) -> np.ndarray:
     if v.shape[-1] != 3:
         raise ValueError(f"expected 3-vector(s), got shape {v.shape}")
     n = np.linalg.norm(v, axis=-1)
-    if (np.abs(n - 1.0) > UNIT_TOL).any():  # .any(), not np.any: vsg-trace checks every ray
+    if not (np.abs(n - 1.0) <= UNIT_TOL).all():  # .all(), not np.all: vsg-trace checks every ray
         raise ValueError("direction is not unit length")
     return v
 

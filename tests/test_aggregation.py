@@ -153,6 +153,17 @@ class TestStack:
         out = stack_attention(seq, [p1, p2], mask=mask)
         np.testing.assert_allclose(out, manual2, rtol=1e-12)
 
+    def test_weighted_layers_feed_forward(self):
+        """With weights, each layer is weighted_attention on the previous
+        layer's output, bit for bit."""
+        rng = np.random.default_rng(43)
+        seq, p1 = random_setup(rng)
+        _, p2 = random_setup(rng)
+        w = np.array([0.5, 0.0, 2.0, 1.0])
+        manual1 = weighted_attention(seq, p1, w)
+        manual2 = weighted_attention(TokenSequence(manual1, seq.tokens), p2, w)
+        assert np.array_equal(stack_attention(seq, [p1, p2], weights=w), manual2)
+
     def test_exactly_one_flavor(self):
         rng = np.random.default_rng(42)
         seq, params = random_setup(rng)

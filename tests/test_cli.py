@@ -766,6 +766,15 @@ class TestMetrics:
         out = float(capsys.readouterr().out.strip())
         np.testing.assert_allclose(out, -0.5 * np.log(0.5), rtol=1e-12)
 
+    def test_g6_refuses_a_mask(self, tmp_path, capsys):
+        """g6 reads no mask, so one given is an error, not silently dropped."""
+        write_pfm(tmp_path / "a.pfm", np.full((2, 2, 3), 0.5, dtype=np.float32))
+        write_pfm(tmp_path / "m.pfm", np.ones((2, 2), dtype=np.float32))
+        rc = main(["metrics", str(tmp_path / "a.pfm"), "ignored.pfm",
+                   "--metric", "g6", "--mask", str(tmp_path / "m.pfm")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: g6 takes no mask\n")
+
     def test_shape_mismatch_fails(self, tmp_path, capsys):
         write_pfm(tmp_path / "a.pfm", np.ones((2, 2, 3), dtype=np.float32))
         write_pfm(tmp_path / "b.pfm", np.ones((3, 3, 3), dtype=np.float32))

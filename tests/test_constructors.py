@@ -1,4 +1,5 @@
-"""Constructor invariants: read-only float64 copies and rejected non-finite input."""
+"""Input invariants: read-only float64 copies, and non-finite input rejected
+by constructors and domain checks."""
 
 import dataclasses
 import warnings
@@ -8,9 +9,10 @@ import pytest
 
 from sglight.aggregation import AttentionParams, TokenSequence
 from sglight.brdf import GBuffer
-from sglight.envmap import EnvironmentMap, HdrImage
+from sglight.envmap import EnvironmentMap, HdrImage, hdr_forward, hdr_inverse
+from sglight.metrics import g4_log_mse, g6_entropy
 from sglight.multiview import CameraView
-from sglight.sg import SgEnvironment, SphericalGaussian, normalize
+from sglight.sg import SgEnvironment, SphericalGaussian, eval_sg, normalize
 from sglight.vsg import VsgVolume, load_vsg
 
 
@@ -128,6 +130,22 @@ def test_finite_values_that_overflow_are_rejected_without_warning(build, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             build()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: eval_sg(SphericalGaussian([0.0, 0.0, 1.0], 2.0, [1.0, 1.0, 1.0]),
+                     [np.nan, 0.0, 0.0]), "not unit length"),
+    (lambda: hdr_forward([0.5, np.nan]), "hdr_forward domain"),
+    (lambda: hdr_inverse([0.5, np.nan]), "hdr_inverse domain"),
+    (lambda: g4_log_mse([[0.5, np.nan]], [[0.5, 0.5]], [[1.0, 1.0]]), "nonnegative"),
+    (lambda: g6_entropy([0.5, np.nan]), "entropy domain"),
+    (lambda: CameraView(**_camera_args()).unproject(1.0, 1.0, np.nan), "distance must be > 0"),
+], ids=["sg-direction", "hdr-forward", "hdr-inverse", "log-metrics", "entropy",
+        "camera-unproject"])
+def test_domain_checks_reject_nan(call, match):
+    """NaN fails every comparison, so each domain check must be one NaN fails."""
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_camera_keeps_intrinsics_whose_pixel_rays_stay_finite():

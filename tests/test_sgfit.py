@@ -374,6 +374,33 @@ class TestFitRecovery:
             a.environment.lobes[0].axis, b.environment.lobes[0].axis
         )
 
+    def test_singular_solve_retries_with_grown_damping(self, monkeypatch):
+        """A LinAlgError from the damped solve grows the damping by
+        DAMPING_GROWTH and retries: one raised on the first solve gives the
+        fit that starts from DAMPING_INIT * 4, bit for bit."""
+        target = decode_env(SgEnvironment((SphericalGaussian(
+            normalize([0.3, -0.1, 0.9]), 9.0, [1.1, 0.6, 0.9]),)), rows=8, cols=16)
+        solve = np.linalg.solve
+        raised = []
+
+        def solve_once_singular(a, b):
+            if not raised:
+                raised.append(True)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once_singular)
+        retried = fit_sg(target, num_lobes=2, max_iterations=20)
+        monkeypatch.undo()
+        assert raised
+        monkeypatch.setattr(sgfit, "DAMPING_INIT", 4e-3)
+        grown = fit_sg(target, num_lobes=2, max_iterations=20)
+        assert retried.loss_trace == grown.loss_trace and retried.iterations == grown.iterations
+        assert retried.final_loss == grown.final_loss and retried.converged == grown.converged
+        for a, b in zip(retried.environment.lobes, grown.environment.lobes, strict=True):
+            assert np.array_equal(a.axis, b.axis) and a.sharpness == b.sharpness
+            assert np.array_equal(a.intensity, b.intensity)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fit_sg(EnvironmentMap(np.ones((4, 8, 3))), num_lobes=0)

@@ -139,6 +139,20 @@ class TestSampling:
             )
             assert match.any()
 
+    def test_vanishing_axis_falls_back_to_z(self):
+        """Opposite axes +x and -x average to zero midway between their
+        voxels, where the record's axis becomes +z; off the midpoint the
+        nearer voxel's axis survives renormalization."""
+        axes = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0]).reshape(2, 1, 1, 3)
+        vol = VsgVolume.from_fields(
+            np.full((2, 1, 1), 0.5), np.ones((2, 1, 1, 3)), axes, np.full((2, 1, 1), 4.0),
+            bbox_min=[-1.0, -1.0, -1.0], bbox_max=[1.0, 1.0, 1.0],
+        )
+        rec = np.empty((2, 8))
+        vsg._interp_records(vol, np.array([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]]), rec)
+        assert np.array_equal(rec, [[0.5, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 4.0],
+                                    [0.5, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 4.0]])
+
     def test_direction_must_be_unit(self):
         vol = constant_volume(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], 2.0)
         with pytest.raises(ValueError):
