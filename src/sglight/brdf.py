@@ -4,9 +4,8 @@ The diffuse term is I_d = (A / pi) * S with S the cosine-weighted
 hemisphere integral of incident radiance. The specular term integrates
 the mixture against a GGX microfacet BRDF with height-correlated Smith
 masking and a Schlick Fresnel at F0 = 0.04. The NDF alpha is the square
-of the perceptual roughness R. Both integrals use an equal-solid-angle
-hemisphere grid by default; a uniform theta-phi grid mode exists to
-demonstrate its low-resolution artifacts.
+of the perceptual roughness R. Both integrals use one equal-solid-angle
+hemisphere grid, which integrates constants and the cosine exactly.
 """
 
 from __future__ import annotations
@@ -118,33 +117,26 @@ def onb(n: np.ndarray):
     return t, bb
 
 
-def _grid_factors(resolution, mode):
+def _grid_factors(resolution):
     """hemisphere_grid's factors ((sin, cos) theta_i, (cos, sin) phi_j), weights."""
     n_lat, n_lon = resolution
     if n_lat < 1 or n_lon < 1:
         raise ValueError("resolution must be positive")
     phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
-    if mode == "equal_area":
-        u = (np.arange(n_lat) + 0.5) / n_lat
-        w = np.full(n_lat * n_lon, 2.0 * np.pi / (n_lat * n_lon))
-    elif mode == "uniform":
-        theta = (np.arange(n_lat) + 0.5) * (0.5 * np.pi) / n_lat
-        u = np.cos(theta)
-        w = np.repeat(np.sin(theta) * (0.5 * np.pi / n_lat) * (2.0 * np.pi / n_lon), n_lon)
-    else:
-        raise ValueError(f"unknown grid mode {mode!r}")
+    u = (np.arange(n_lat) + 0.5) / n_lat
+    w = np.full(n_lat * n_lon, 2.0 * np.pi / (n_lat * n_lon))
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     return (st, u, np.cos(phi), np.sin(phi)), w
 
 
-def hemisphere_grid(resolution=(32, 64), mode: str = "equal_area"):
-    """Quadrature nodes over the local (+z) hemisphere.
+def hemisphere_grid(resolution=(32, 64)):
+    """Equal-solid-angle quadrature nodes over the local (+z) hemisphere.
 
-    equal_area: latitude uniform in cos(theta), equal weights summing to
-    2*pi. uniform: theta uniform in [0, pi/2) with sin(theta) weights,
-    the artifact-prone mode. Returns (local dirs (M, 3), weights (M,)).
+    Latitude midpoints uniform in cos(theta) and longitude midpoints
+    uniform in phi, with equal weights summing to 2*pi, so constants and
+    the cosine integrate exactly. Returns (local dirs (M, 3), weights (M,)).
     """
-    (st, u, cos_phi, sin_phi), w = _grid_factors(resolution, mode)
+    (st, u, cos_phi, sin_phi), w = _grid_factors(resolution)
     x, y = np.outer(st, cos_phi).ravel(), np.outer(st, sin_phi).ravel()
     return np.stack([x, y, np.repeat(u, cos_phi.size)], axis=-1), w
 
@@ -277,12 +269,10 @@ def _view_dirs(g: GBuffer, cam, band=slice(None)):
     return -cam.pixel_rays(band)
 
 
-def render_diffuse(
-    g: GBuffer, env: SgEnvironment, resolution=(32, 64), mode: str = "equal_area"
-) -> HdrImage:
+def render_diffuse(g: GBuffer, env: SgEnvironment, resolution=(32, 64)) -> HdrImage:
     """Diffuse image I_d = (A / pi) * S per pixel."""
     h, w = g.shape
-    grid, wq = _grid_factors(resolution, mode)
+    grid, wq = _grid_factors(resolution)
     wz = wq * np.repeat(grid[1], grid[2].size)
     s = _shade(env, g, np.arange(h * w), grid, lambda rows, frame, bufs: wz)
     with np.errstate(invalid="ignore"):  # albedo 0 times an overflowed s; HdrImage rejects it
@@ -294,7 +284,6 @@ def render_specular(
     env: SgEnvironment,
     cam,
     resolution=(32, 64),
-    mode: str = "equal_area",
     rows: Optional[slice] = None,
 ) -> HdrImage:
     """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
@@ -315,7 +304,7 @@ def render_specular(
     front = cos_v > 0.0  # backfacing pixels stay black
     pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
     alpha = g.roughness.reshape(-1)[pixels, None] ** 2
-    grid, wq = _grid_factors(resolution, mode)
+    grid, wq = _grid_factors(resolution)
 
     def kernel(rows, frame, bufs):
         e, h0, h1, h2, hn = bufs  # e is free scratch until the lobes run

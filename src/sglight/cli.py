@@ -24,10 +24,6 @@ from .pfm import read_pfm, write_pfm
 METRIC_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")  # sorted(METRICS), without importing it
 
 
-class CliError(RuntimeError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with single-line machine-parseable usage errors."""
 
@@ -98,7 +94,7 @@ def _require(scene, what: str):
         "volume": scene.volume,
     }[what]
     if value is None:
-        raise CliError(f"scene lacks a {what} section required by this command")
+        raise ValueError(f"scene lacks a {what} section required by this command")
     return value
 
 
@@ -150,7 +146,7 @@ def _cmd_render(args) -> int:
         images = {kind: img.astype(np.float32) for kind, img in
                   (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}
     if not all(np.isfinite(img).all() for img in images.values()):
-        raise CliError("rendered radiance overflows the float32 range of PFM")
+        raise ValueError("rendered radiance overflows the float32 range of PFM")
     for kind, img in images.items():
         write_pfm(f"{args.out_prefix}_{kind}.pfm", img)
     return 0
@@ -184,9 +180,9 @@ def _cmd_bench_order(args) -> int:
     try:
         sweep = [int(v) for v in args.nr_sweep.split(",") if v.strip()]
     except ValueError:
-        raise CliError("--nr-sweep must be comma-separated integers") from None
+        raise ValueError("--nr-sweep must be comma-separated integers") from None
     if not sweep:
-        raise CliError("--nr-sweep is empty")
+        raise ValueError("--nr-sweep is empty")
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["order", "n_r", "rays", "g_evals", "seconds"])
@@ -227,14 +223,14 @@ def _cmd_metrics(args) -> int:
     a = np.asarray(read_pfm(args.a), dtype=np.float64)
     if args.metric == "g6":
         if args.mask is not None:
-            raise CliError("g6 takes no mask")
+            raise ValueError("g6 takes no mask")
         print(f"{METRICS['g6'](a):.17g}")
         return 0
     b = np.asarray(read_pfm(args.b), dtype=np.float64)
     if args.mask is not None:
         mask = np.asarray(read_pfm(args.mask), dtype=np.float64)
         if mask.ndim != 2:
-            raise CliError("mask must be a grayscale PFM")
+            raise ValueError("mask must be a grayscale PFM")
     else:
         mask = np.ones(a.shape[:2] if a.ndim == 3 else a.shape)
     value = METRICS[args.metric](a, b, mask)
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1

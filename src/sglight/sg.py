@@ -27,8 +27,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
         n = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero vector")
-    if np.any(np.isinf(n)):
-        raise ValueError("cannot normalize a vector of infinite length")
+    if not np.isfinite(n).all():  # a NaN norm fails this test too
+        raise ValueError("cannot normalize a vector of infinite length or with NaN entries")
     return v / n
 
 

@@ -193,7 +193,9 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
     p = _greedy_init(target.data, dirs.reshape(target.data.shape), num_lobes)
     work = _workspace(dirs.shape[0], num_lobes)
     r, pred = _objective_parts(p, dirs, log_tgt, sqrt_w, work[0])
-    loss = float(r @ r)
+    # the sum of squares is numpy's own, not BLAS ddot, whose threads split
+    # the sum and change its last bits with OPENBLAS_NUM_THREADS
+    loss = float(np.add.reduce(r * r))
     trace = [loss]
     damping = DAMPING_INIT
     iterations = 0
@@ -215,7 +217,7 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
             if p_try[:, :4].max() < LOG_MAX:
                 # each trial leaves its lobe values in work; the accepted one is the last
                 r_try, pred_try = _objective_parts(p_try, dirs, log_tgt, sqrt_w, work[0])
-                loss_try = float(r_try @ r_try)
+                loss_try = float(np.add.reduce(r_try * r_try))
             if np.isfinite(loss_try) and loss_try < loss:
                 rel_drop = (loss - loss_try) / max(loss, 1e-300)
                 p, r, pred = p_try, r_try, pred_try
@@ -249,7 +251,7 @@ def fit_objective(env: SgEnvironment, target: EnvironmentMap) -> float:
     """The exact objective fit_sg minimizes, for external comparisons."""
     dirs, sqrt_w = _grid(target.rows, target.cols)
     r = _residuals(mixture_radiance(env, dirs), np.log1p(target.data.reshape(-1, 3)), sqrt_w)
-    return float(r @ r)
+    return float(np.add.reduce(r * r))
 
 
 def _box_lsq(gram, rhs):

@@ -106,10 +106,10 @@ def random_scene(height, width, seed=0, lobes=4):
     return cam, g, SgEnvironment(sg, visibility=vis)
 
 
-def reference_render(g, env, cam, resolution, mode):
+def reference_render(g, env, cam, resolution):
     """Per-pixel world-frame diffuse and specular images: rotate the grid
     into each pixel's frame and evaluate lobes and GGX on 3-vectors."""
-    local, wq = hemisphere_grid(resolution, mode)
+    local, wq = hemisphere_grid(resolution)
     h, w = g.shape
     diffuse, specular = np.zeros((h, w, 3)), np.zeros((h, w, 3))
     for i in range(h):
@@ -149,7 +149,7 @@ def allocating_grid_dot(coef, grid, offset):
     return out.reshape(len(coef), -1)
 
 
-def allocating_render(g, env, cam, resolution, mode):
+def allocating_render(g, env, cam, resolution):
     """The chunked diffuse and specular renderers as they were before the
     reused chunk workspace: fresh (p, M) temporaries for every lobe and
     kernel factor, the BRDF factors on (p, M), and frozen copies of the
@@ -188,7 +188,7 @@ def allocating_render(g, env, cam, resolution, mode):
         return out
 
     h, w = g.shape
-    grid, wq = brdf._grid_factors(resolution, mode)
+    grid, wq = brdf._grid_factors(resolution)
     wz = wq * np.repeat(grid[1], grid[2].size)
     s = shade(np.arange(h * w), grid, lambda rows, frame: wz)
     diffuse = (g.albedo.reshape(-1, 3) / np.pi * s).reshape(h, w, 3)
@@ -322,7 +322,7 @@ class TestVectorOps:
 
 class TestHemisphereGrid:
     def test_equal_area_weights_exact(self):
-        local, w = hemisphere_grid((32, 64), "equal_area")
+        local, w = hemisphere_grid((32, 64))
         np.testing.assert_allclose(w.sum(), 2.0 * np.pi, rtol=1e-13)
         assert np.all(local[:, 2] > 0.0)
         np.testing.assert_allclose(
@@ -332,22 +332,8 @@ class TestHemisphereGrid:
     def test_equal_area_cosine_integral_exact(self):
         """Midpoints in cos(theta) average to exactly 1/2, so the cosine
         integral is pi to machine precision at any resolution."""
-        local, w = hemisphere_grid((4, 8), "equal_area")
+        local, w = hemisphere_grid((4, 8))
         np.testing.assert_allclose(np.sum(w * local[:, 2]), np.pi, rtol=1e-13)
-
-    def test_uniform_mode_is_artifact_prone(self):
-        """The uniform theta grid biases the cosine integral at coarse
-        resolution; the equal-area grid does not."""
-        local_u, w_u = hemisphere_grid((4, 8), "uniform")
-        err_u = abs(np.sum(w_u * local_u[:, 2]) - np.pi) / np.pi
-        local_e, w_e = hemisphere_grid((4, 8), "equal_area")
-        err_e = abs(np.sum(w_e * local_e[:, 2]) - np.pi) / np.pi
-        assert err_u > 1e-3
-        assert err_e < 1e-12
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            hemisphere_grid((4, 8), "banana")
 
 
 class TestShading:
@@ -478,13 +464,12 @@ class TestChunkedRenderers:
     # seed 2 holds a grazing view whose half vectors the identity
     # n.h = (n.v + n.l) / |v + l| resolves only to about 1e-11
     @pytest.mark.parametrize("seed", [2, 3])
-    @pytest.mark.parametrize("mode", ["equal_area", "uniform"])
-    def test_matches_world_frame_reference(self, mode, seed):
+    def test_matches_world_frame_reference(self, seed):
         cam, g, env = random_scene(9, 7, seed=seed)
         resolution = (12, 24)
-        ref_d, ref_s = reference_render(g, env, cam, resolution, mode)
-        diffuse = render_diffuse(g, env, resolution, mode).data
-        specular = render_specular(g, env, cam, resolution, mode).data
+        ref_d, ref_s = reference_render(g, env, cam, resolution)
+        diffuse = render_diffuse(g, env, resolution).data
+        specular = render_specular(g, env, cam, resolution).data
         back = np.all(ref_s == 0.0, axis=-1)  # the reference skips n.v <= 0
         assert 2 <= back.sum() <= 15
         for ref, got in ((ref_d, diffuse), (ref_s, specular)):
@@ -524,18 +509,17 @@ class TestChunkedRenderers:
                     prefix, kind)
 
     @pytest.mark.parametrize("chunk_px", [None, 7])
-    @pytest.mark.parametrize("mode", ["equal_area", "uniform"])
-    def test_bytes_equal_allocating_renderers(self, mode, chunk_px, monkeypatch):
+    def test_bytes_equal_allocating_renderers(self, chunk_px, monkeypatch):
         """The reused workspace, the in-place D and F and the latitude-only
         G2 keep every byte of the allocating renderers, with visibility."""
         cam, g, env = random_scene(13, 11, seed=4)
         resolution = (12, 24)
         if chunk_px is not None:
             monkeypatch.setattr(brdf, "CHUNK_NODES", chunk_px * 12 * 24 + 5)
-        ref_d, ref_s = allocating_render(g, env, cam, resolution, mode)
+        ref_d, ref_s = allocating_render(g, env, cam, resolution)
         assert ref_s.any() and (ref_s == 0.0).any()
-        assert np.array_equal(render_diffuse(g, env, resolution, mode).data, ref_d)
-        assert np.array_equal(render_specular(g, env, cam, resolution, mode).data, ref_s)
+        assert np.array_equal(render_diffuse(g, env, resolution).data, ref_d)
+        assert np.array_equal(render_specular(g, env, cam, resolution).data, ref_s)
 
     @pytest.mark.parametrize("renderer, buffers", [("diffuse", 2), ("specular", 8)])
     def test_peak_memory_is_a_few_chunk_buffers(self, renderer, buffers):

@@ -1,8 +1,10 @@
 """Command-line interface: all six subcommands plus error handling."""
 
 import csv
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,14 @@ from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
 from sglight.vsg import VsgVolume, save_vsg
 
-from test_cli_fuzz import SCENE, SCENE_COMMANDS, write_inputs
+from test_cli_fuzz import (
+    SCENE,
+    SCENE_COMMANDS,
+    VSG_HEADER,
+    base_vsg_records,
+    vsg_bytes,
+    write_inputs,
+)
 from test_scene import write_gbuffer
 from test_sgfit import five_lobe_map
 
@@ -233,6 +242,26 @@ class TestFit:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_bytes_independent_of_blas_threads(self, seed, tmp_path):
+        """fit sums its squared residuals without a BLAS dot product, whose
+        threads split the sum, so 1 and 2 OpenBLAS threads write one file."""
+        rng = np.random.default_rng(seed)
+        lobes = tuple(SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(1.0, 80.0),
+                                        rng.uniform(0.0, 3.0, size=3)) for _ in range(5))
+        data = decode_env(SgEnvironment(lobes), rows=64, cols=128).data
+        write_pfm(tmp_path / "t.pfm", (data * rng.uniform(0.9, 1.1, data.shape)).astype(np.float32))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = tmp_path / f"lobes{threads}.txt"
+            subprocess.run([sys.executable, "-m", "sglight", "fit", str(tmp_path / "t.pfm"),
+                            "--lobes", "8", "--max-iterations", "100", "--out", str(out)],
+                           env=env, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestRender:
     def test_furnace_outputs(self, tmp_path):
@@ -274,7 +303,7 @@ class TestRender:
         assert "camera" in err
         assert not (tmp_path / "x_specular.pfm").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
     def test_threads_below_one_is_usage_error(self, value, tmp_path, capsys):
         scene = write_wall_scene(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -595,6 +624,82 @@ def test_negative_volume_dimensions_are_clean_error(dims, payload, tmp_path, cap
     assert err.startswith("error:")
     assert "dimensions must be >= 1" in err
     assert "Traceback" not in err
+
+
+def _scene_with(old, new):
+    return {"scene.txt": SCENE.replace(old, new, 1).encode()}
+
+
+def _vsg_with(dims=b"2 2 2", sharpness=4.0):
+    records = base_vsg_records()
+    records[0, 0, 0, 7] = sharpness
+    return {"vol.vsg": vsg_bytes([VSG_HEADER[0], dims, *VSG_HEADER[2:]], records)}
+
+
+_RENDER = ["render", "{d}/scene.txt", "--out-prefix", "{d}/r"]
+_TRACE = ["vsg-trace", "{d}/scene.txt", "--order", "before", "--out", "{d}/v.pfm"]
+
+
+@pytest.mark.parametrize("argv, replace, message", [
+    (["bench-order", "{d}/scene.txt", "--nr-sweep", ",", "--out", "{d}/b.csv"], {},
+     "--nr-sweep is empty"),
+    (["metrics", "{d}/a.pfm", "{d}/b.pfm", "--mask", "{d}/a.pfm", "--metric", "g2"], {},
+     "mask must be a grayscale PFM"),
+    (["metrics", "{d}/mask.pfm", "{d}/mask.pfm", "--metric", "g1"], {},
+     "inputs must be matching (..., 3) vector fields"),
+    (["fit", "{d}/t.pfm", "--max-iterations", "0", "--out", "{d}/l.txt"], {},
+     "max_iterations must be >= 1"),
+    ([*_TRACE, "--nr", "0"], {}, "n_r must be >= 1"),
+    (_TRACE, _vsg_with(dims=b"2 2 x"), "malformed volume header"),
+    (_TRACE, _vsg_with(sharpness=-1.0), "sharpness channel must be >= 0"),
+    (_RENDER, _scene_with("quadrature: 4 8", "quadrature: 0 8"), "resolution must be positive"),
+    (_RENDER, _scene_with("size: 4 4", "size: 0 4"), "image size must be positive"),
+    (_RENDER, _scene_with("pose: 0 0 1 0", "pose: 0 0 -1 0"), "rotation must have determinant 1"),
+    (_RENDER, _scene_with("sg: 0 0 -1", "sg: 0 0 0"), "cannot normalize a zero vector"),
+], ids=["empty-sweep", "rgb-mask", "grayscale-g1", "zero-iterations", "zero-samples",
+        "vsg-header", "vsg-sharpness", "zero-quadrature", "zero-camera-size",
+        "reflecting-pose", "zero-sg-axis"])
+def test_rejected_input_is_its_one_error_line(argv, replace, message, tmp_path, capsys):
+    """Each input, invalid in one way on the fuzz tests' valid set, exits 1
+    with exactly its own error line."""
+    write_inputs(tmp_path, replace)
+    assert main([a.format(d=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# float64 bytes per pixel of each command's per-pixel inputs and outputs:
+# render reads 8 G-buffer channels and writes 3 RGB images; vsg-trace
+# marches one ray direction per pixel and writes 1 RGB image
+_IO_BYTES_PER_PX = {"render": (8 + 3 * 3) * 8, "vsg-trace": (3 + 3) * 8}
+
+
+@pytest.mark.parametrize("command", sorted(_IO_BYTES_PER_PX))
+def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path):
+    """From a 48^2 to a 96^2 image, the traced peak of one in-process run
+    grows by at most twice the float64 inputs and outputs it adds. A
+    command holds each per-pixel input and output as float64 (1x), as
+    float32 file data (1/2x), and, while write_pfm runs, two float32
+    payload copies of one output (at most 1/2x): 2x in all. Per-pixel
+    work arrays, such as quadrature nodes or ray samples, would break it."""
+    peaks = []
+    for side in (48, 96):
+        d = tmp_path / str(side)
+        d.mkdir()
+        if command == "render":  # 512 nodes: a 256-pixel chunk at both sides
+            argv = ["render", str(write_wall_scene(d, quadrature=(16, 32), size=side)),
+                    "--out-prefix", str(d / "r")]
+        else:
+            argv = ["vsg-trace", str(write_volume_scene(d, size=side)), "--order", "before",
+                    "--nr", "16", "--out", str(d / "v.pfm")]
+        assert main(argv) == 0  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    added_px = 96**2 - 48**2
+    assert peaks[1] - peaks[0] <= 2 * _IO_BYTES_PER_PX[command] * added_px, peaks
 
 
 class TestReproject:

@@ -140,8 +140,9 @@ def test_finite_values_that_overflow_are_rejected_without_warning(build, match):
     (lambda: g4_log_mse([[0.5, np.nan]], [[0.5, 0.5]], [[1.0, 1.0]]), "nonnegative"),
     (lambda: g6_entropy([0.5, np.nan]), "entropy domain"),
     (lambda: CameraView(**_camera_args()).unproject(1.0, 1.0, np.nan), "distance must be > 0"),
+    (lambda: normalize([np.nan, 1.0, 0.0]), "NaN entries"),
 ], ids=["sg-direction", "hdr-forward", "hdr-inverse", "log-metrics", "entropy",
-        "camera-unproject"])
+        "camera-unproject", "normalize"])
 def test_domain_checks_reject_nan(call, match):
     """NaN fails every comparison, so each domain check must be one NaN fails."""
     with pytest.raises(ValueError, match=match):
