@@ -110,7 +110,7 @@ def write_pfm(path, data) -> None:
 
     height, width = arr.shape[0], arr.shape[1]
     header = magic + b"\n" + f"{width} {height}\n-1.0\n".encode("ascii")
-    payload = np.ascontiguousarray(arr[::-1]).astype("<f4").tobytes()
+    payload = np.ascontiguousarray(arr[::-1], dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

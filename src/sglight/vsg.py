@@ -25,7 +25,7 @@ from .sg import _as_unit, _frozen, lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
-# points interpolated at once; a (points, 8) float64 temporary is 256 kB
+# points interpolated at once; the (8, points) float64 accumulator is 256 kB
 CHUNK_POINTS = 1 << 12
 # ray samples per bench_orders chunk (1 MiB of records); a chunk holds >= 1 ray
 BENCH_SAMPLES = 1 << 14
@@ -37,7 +37,8 @@ class VsgVolume:
 
     Channels, in storage order: alpha, intensity RGB, axis xyz, sharpness.
     alpha lies in [0, 1] and sharpness is >= 0.
-    lattice: the flat view, cell, clamp bounds, strides and corner offsets of _interp_records.
+    lattice: the (8, X*Y*Z) grid that data views, and the bbox_min, cell,
+    clamp-bound columns, strides and corner offsets of _interp_records.
     """
 
     data: np.ndarray
@@ -57,15 +58,17 @@ class VsgVolume:
         hi = _frozen(self.bbox_max, "bbox_max", shape=(3,))
         if np.any(hi <= lo):
             raise ValueError("bbox_max must exceed bbox_min on every axis")
-        object.__setattr__(self, "data", data)
+        grid = np.ascontiguousarray(np.moveaxis(data, 3, 0))  # the one stored copy
+        grid.flags.writeable = False
+        object.__setattr__(self, "data", np.moveaxis(grid, 0, 3))
         object.__setattr__(self, "bbox_min", lo)
         object.__setattr__(self, "bbox_max", hi)
         dims = np.array(data.shape[:3], dtype=np.float64)
-        stride = np.array([data.shape[1] * data.shape[2], data.shape[2], 1])
+        stride = np.array([data.shape[1] * data.shape[2], data.shape[2], 1.0])
         offsets = [int(np.dot(c, np.where(dims > 1, stride, 0))) for c in np.ndindex(2, 2, 2)]
         object.__setattr__(self, "lattice", (
-            data.reshape(-1, 8), (hi - lo) / dims, dims - 1.0,
-            (dims - 2).astype(np.int64).clip(min=0), stride, offsets))
+            grid.reshape(8, -1), lo[:, None], ((hi - lo) / dims)[:, None], (dims - 1.0)[:, None],
+            np.maximum(dims - 2.0, 0.0)[:, None], stride, offsets))
 
     @property
     def dims(self) -> tuple:
@@ -136,48 +139,50 @@ def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
     """Fill out (N, 8) with the 8 channels interpolated at points (N, 3).
 
     Trilinear over voxel centers (edge clamped), or nearest-neighbor when
-    nearest=True. The axis columns are renormalized in place; a vanishing
+    nearest=True. The axis columns are renormalized; a vanishing
     interpolated axis falls back to +z. Works through CHUNK_POINTS points
-    at a time from vol.lattice, gathering with mode="clip" (indices are in
-    range by construction; the default mode buffers out), so its
-    temporaries stay near 1 MB whatever N is.
+    at a time in channel-major scratch: (3, n) coordinate rows (96 kB each
+    at n = CHUNK_POINTS) and a 256 kB (8, n) accumulator. Each corner is
+    gathered from vol.lattice's (8, X*Y*Z) grid into the chunk's own bytes
+    of out with mode="clip" (indices are in range by construction; the
+    default mode buffers out), and one transposed copy then fills the
+    chunk. Scratch stays under 1 MB whatever N is.
     """
-    flat, cell, g_max, i_max, stride, offsets = vol.lattice
-    size = min(CHUNK_POINTS, points.shape[0])
-    corner = np.empty((size, 8))
-    weight = np.empty(size)
+    grid, bbox_min, cell, g_max, i_max, stride, offsets = vol.lattice
+    total = np.empty(8 * min(CHUNK_POINTS, points.shape[0]))
     for lo in range(0, points.shape[0], CHUNK_POINTS):
         rec = out[lo:lo + CHUNK_POINTS]
+        acc = total[:rec.size].reshape(8, -1)
         # continuous voxel-center coordinates, clamped to [0, dims - 1]
-        g = (points[lo:lo + CHUNK_POINTS] - vol.bbox_min) / cell - 0.5
+        g = np.subtract(points[lo:lo + CHUNK_POINTS].T, bbox_min, order="C") / cell - 0.5
         np.maximum(g, 0.0, out=g)
         np.minimum(g, g_max, out=g)
         if nearest:
-            flat.take(np.rint(g).astype(np.int64) @ stride, axis=0, out=rec, mode="clip")
+            grid.take((stride @ np.rint(g)).astype(np.int64), axis=1, out=acc, mode="clip")
         else:
-            i0 = np.minimum(np.floor(g).astype(np.int64), i_max)
-            f = g - i0
-            f1 = 1.0 - f
-            base = i0 @ stride
-            c = corner[:len(rec)]
-            w = weight[:len(rec)]
-            rec[:] = 0.0
+            i0 = np.floor(g)
+            np.minimum(i0, i_max, out=i0)
+            base = (stride @ i0).astype(np.int64)
+            f = np.subtract(g, i0, out=g)
+            f1 = np.subtract(1.0, f, out=i0)
+            # rec's bytes hold each corner until the final copy overwrites them
+            c = rec.reshape(8, -1)
+            acc[:] = 0.0
             for dx in (0, 1):
-                wx = f1[:, 0] if dx == 0 else f[:, 0]
+                wx = f1[0] if dx == 0 else f[0]
                 for dy in (0, 1):
-                    wxy = wx * (f1[:, 1] if dy == 0 else f[:, 1])
+                    wxy = wx * (f1[1] if dy == 0 else f[1])
                     for dz in (0, 1):
-                        np.multiply(wxy, f1[:, 2] if dz == 0 else f[:, 2], out=w)
-                        k = base + offsets[4 * dx + 2 * dy + dz]
-                        flat.take(k, axis=0, out=c, mode="clip")
-                        c *= w[:, None]
-                        rec += c
-        axis = rec[:, 4:7]
-        norm = np.sqrt(np.add.reduce(axis * axis, -1, keepdims=True))
+                        w = wxy * (f1[2] if dz == 0 else f[2])
+                        grid.take(base + offsets[4 * dx + 2 * dy + dz], axis=1, out=c, mode="clip")
+                        c *= w
+                        acc += c
+        norm = np.sqrt(np.add.reduce(acc[4:7] * acc[4:7]))
         ok = norm > 1e-12
-        np.divide(axis, norm, out=axis, where=ok)
+        np.divide(acc[4:7], norm, out=acc[4:7], where=ok)
         if not ok.all():
-            axis[~ok[:, 0]] = (0.0, 0.0, 1.0)
+            acc[4:7, ~ok] = ((0.0,), (0.0,), (1.0,))
+        rec[:] = acc.T
 
 
 def _fields(rec):

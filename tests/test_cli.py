@@ -678,8 +678,8 @@ def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path):
     """From a 48^2 to a 96^2 image, the traced peak of one in-process run
     grows by at most twice the float64 inputs and outputs it adds. A
     command holds each per-pixel input and output as float64 (1x), as
-    float32 file data (1/2x), and, while write_pfm runs, two float32
-    payload copies of one output (at most 1/2x): 2x in all. Per-pixel
+    float32 file data (1/2x), and, while write_pfm runs, one float32
+    payload copy of one output (at most 1/4x): under 2x in all. Per-pixel
     work arrays, such as quadrature nodes or ray samples, would break it."""
     peaks = []
     for side in (48, 96):

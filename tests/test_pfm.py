@@ -1,6 +1,7 @@
 """PFM read/write: bit-exact round trips and strict header handling."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ class TestRoundTrip:
         assert path.read_bytes() == b"PF\n1 1\n-1.0\n" + struct.pack(
             "<3f", 0.5, 0.5, 0.5
         )
+
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        """The flipped rows go to the file from one float32 copy: writing
+        a float32 512x512x3 image peaks below 1.5x its payload."""
+        img = np.ones((512, 512, 3), dtype=np.float32)
+        write_pfm(tmp_path / "warm.pfm", img[:1, :1])
+        tracemalloc.start()
+        try:
+            write_pfm(tmp_path / "big.pfm", img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * img.nbytes, peak
+        assert np.array_equal(read_pfm(tmp_path / "big.pfm"), img)
 
 
 class TestScaleHandling:

@@ -253,23 +253,37 @@ class TestChunkedSampling:
 
         The gathers use mode="clip", which would silently clamp a wrong
         flat index; both modes must still give the per-corner reference
-        and the rounded voxel exactly."""
+        and the rounded voxel exactly. Each volume is checked as drawn and
+        with a third of its voxel axes zero and a third 1e-13 long, so one
+        chunk mixes renormalized records with +z fallback records."""
         vol = random_volume(np.random.default_rng(15), dims=dims)
+        data = vol.data.copy()
+        phase = np.indices(dims).sum(axis=0) % 3
+        data[phase == 0, 4:7] = 0.0
+        data[phase == 1, 4:7] *= 1e-13
+        vanishing = VsgVolume(data, vol.bbox_min, vol.bbox_max)
         cell = (vol.bbox_max - vol.bbox_min) / np.array(dims)
         lo, hi = vol.bbox_min, vol.bbox_max
         ticks = np.stack([lo - 0.3 * cell, lo - 1e-12, lo, lo + 0.5 * cell,
                           (lo + hi) / 2, hi - 0.5 * cell, hi, hi + 1e-12, hi + 0.3 * cell])
         points = np.stack(np.meshgrid(ticks[:, 0], ticks[:, 1], ticks[:, 2],
                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        rec = np.empty((len(points), 8))
-        vsg._interp_records(vol, points, rec)
-        assert np.array_equal(rec, reference_records(vol, points))
-        vsg._interp_records(vol, points, rec, nearest=True)
         g = (points - lo) / cell - 0.5
         idx = np.rint(np.clip(g, 0.0, np.array(dims) - 1.0)).astype(np.int64)
-        want = vol.data[idx[:, 0], idx[:, 1], idx[:, 2]].copy()
-        want[:, 4:7] /= np.linalg.norm(want[:, 4:7], axis=-1, keepdims=True)
-        assert np.array_equal(rec, want)
+        rec = np.empty((len(points), 8))
+        for v in (vol, vanishing):
+            vsg._interp_records(v, points, rec)
+            assert np.array_equal(rec, reference_records(v, points))
+            vsg._interp_records(v, points, rec, nearest=True)
+            want = v.data[idx[:, 0], idx[:, 1], idx[:, 2]].copy()
+            axis = want[:, 4:7]
+            norm = np.linalg.norm(axis, axis=-1, keepdims=True)
+            ok = norm > 1e-12
+            want[:, 4:7] = np.where(ok, axis / np.where(ok, norm, 1.0), [0.0, 0.0, 1.0])
+            assert np.array_equal(rec, want)
+        # the vanishing volume falls back, and renormalizes too where it has
+        # more than one voxel
+        assert not ok.all() and (ok.any() or dims == (1, 1, 1))
 
 
 class TestCompositing:
