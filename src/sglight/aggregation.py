@@ -1,10 +1,9 @@
 """Non-learned attention mechanics over per-view feature tokens.
 
 Tokens are built as x_k = f_spec_k + concat(image RGB, context), which
-requires the specular feature width to equal 3 + context width; a pure
-concatenation variant exists for ablation. A target embedding row is
-prepended and queries the sequence through injected projection matrices
-(single head). Two flavors:
+requires the specular feature width to equal 3 + context width. A
+target embedding row is prepended and queries the sequence through
+injected projection matrices (single head). Two flavors:
 
 masked attention: scores of masked entries are treated as -inf (the
 implementation drops them outright, so masked tokens cannot leak even at
@@ -82,15 +81,11 @@ def build_tokens(
     image_rgb: np.ndarray,
     f_context: np.ndarray,
     target_embedding: np.ndarray,
-    mode: str = "add",
 ) -> TokenSequence:
-    """Combine per-view features into tokens.
+    """Tokens x_k = f_spec_k + concat(rgb_k, context), one per view.
 
-    mode "add": x_k = f_spec_k + concat(rgb_k, context); the specular
-    width must equal 3 + len(context). A zero f_spec makes the token the
-    bare concatenation. mode "concat": x_k = concat(f_spec_k, rgb_k,
-    context), the positional-encoding-free ablation layout; the target
-    embedding must then match the widened token.
+    The specular width must equal 3 + len(context). A zero f_spec makes
+    the token the bare concatenation.
     """
     f_spec = np.asarray(f_spec, dtype=np.float64)
     image_rgb = np.asarray(image_rgb, dtype=np.float64)
@@ -101,18 +96,12 @@ def build_tokens(
         raise ValueError("image_rgb must be (K, 3)")
     if f_context.ndim != 1:
         raise ValueError("f_context must be a vector")
+    if f_spec.shape[1] != 3 + f_context.shape[0]:
+        raise ValueError("f_spec width must equal 3 + context width")
     shared = np.concatenate(
         [image_rgb, np.repeat(f_context[None, :], f_spec.shape[0], axis=0)], axis=1
     )
-    if mode == "add":
-        if f_spec.shape[1] != 3 + f_context.shape[0]:
-            raise ValueError("f_spec width must equal 3 + context width")
-        tokens = f_spec + shared
-    elif mode == "concat":
-        tokens = np.concatenate([f_spec, shared], axis=1)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return TokenSequence(target_embedding, tokens)
+    return TokenSequence(target_embedding, f_spec + shared)
 
 
 def _attention_probs(seq: TokenSequence, params: AttentionParams, rows: np.ndarray):

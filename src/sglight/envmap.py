@@ -92,25 +92,3 @@ def hdr_inverse(y) -> np.ndarray:
         raise ValueError("hdr_inverse domain is y >= 0")
     return np.expm1(y)
 
-
-def tile_per_pixel(per_pixel: np.ndarray) -> np.ndarray:
-    """Pack (H, W, rows, cols, 3) per-pixel maps into one (H*rows, W*cols, 3).
-
-    Pixel (i, j) occupies the block [i*rows:(i+1)*rows, j*cols:(j+1)*cols].
-    """
-    per_pixel = np.asarray(per_pixel)
-    if per_pixel.ndim != 5 or per_pixel.shape[4] != 3:
-        raise ValueError("expected (H, W, rows, cols, 3)")
-    h, w, rows, cols, _ = per_pixel.shape
-    return per_pixel.transpose(0, 2, 1, 3, 4).reshape(h * rows, w * cols, 3)
-
-
-def untile_per_pixel(tiled: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of tile_per_pixel."""
-    tiled = np.asarray(tiled)
-    if tiled.ndim != 3 or tiled.shape[2] != 3:
-        raise ValueError("expected (H*rows, W*cols, 3)")
-    if tiled.shape[0] % rows or tiled.shape[1] % cols:
-        raise ValueError("tiled shape is not a multiple of the tile size")
-    h, w = tiled.shape[0] // rows, tiled.shape[1] // cols
-    return tiled.reshape(h, rows, w, cols, 3).transpose(0, 2, 1, 3, 4)

@@ -11,7 +11,7 @@ point into every view k, and compare the view's stored depth at the
 projected pixel (bilinear) against the point's distance to that
 camera, e_k = |d_k - z_k|; the target reads its own depth at the pixel
 center. Out-of-frame or behind-camera projections get e_k = +inf.
-Weights are w = max(-log e, 0) (capped at WEIGHT_CAP, then L1
+Weights are w = max(-ln e, 0) (capped at WEIGHT_CAP, then L1
 normalized, uniform fallback when all raw weights vanish) and the binary
 mask keeps views with e_k < c_th = MASK_THRESHOLD, always keeping the
 target itself. c_th, the depth-confidence cut of estimate_depth_scale and
@@ -260,17 +260,16 @@ def _errors(errors) -> np.ndarray:
     return e
 
 
-def multiview_weight(errors, base: str = "e") -> np.ndarray:
-    """w = max(-log e, 0), capped, L1 normalized; uniform when all zero.
+def multiview_weight(errors) -> np.ndarray:
+    """w = max(-ln e, 0), capped, L1 normalized; uniform when all zero.
 
-    Each row of errors (..., K) is normalized on its own. base selects the
-    natural log (default) or base 10 ("10").
+    Each row of errors (..., K) is normalized on its own; K must be >= 1.
     """
     e = _errors(errors)
+    if e.ndim == 0 or e.shape[-1] == 0:
+        raise ValueError("errors must be (..., K) with K >= 1 views")
     with np.errstate(divide="ignore"):
-        raw = -np.log(e) if base == "e" else -np.log10(e) if base == "10" else None
-    if raw is None:
-        raise ValueError(f"unknown log base {base!r}")
+        raw = -np.log(e)
     # -log(0) = inf clips to the cap; an out-of-frame -log(inf) = -inf to no vote
     raw = np.clip(raw, 0.0, WEIGHT_CAP)
     total = raw.sum(axis=-1, keepdims=True)

@@ -70,24 +70,21 @@ def read_pfm(path) -> np.ndarray:
 
     count = width * height * channels
     expected = count * 4
-    payload = buf[pos:]
-    if len(payload) < expected:
-        raise PfmError(
-            f"truncated payload, expected {expected} bytes got {len(payload)}",
-            len(buf),
-        )
-    if len(payload) > expected:
+    size = len(buf) - pos
+    if size < expected:
+        raise PfmError(f"truncated payload, expected {expected} bytes got {size}", len(buf))
+    if size > expected:
         raise PfmError("trailing bytes after payload", pos + expected)
 
     dtype = "<f4" if scale < 0 else ">f4"
-    flat = np.frombuffer(payload, dtype=dtype, count=count)
+    flat = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
     nan = np.isnan(flat)
     if np.any(nan):
         raise PfmError("NaN pixel", pos + int(np.argmax(nan)) * 4)
 
     shape = (height, width, 3) if channels == 3 else (height, width)
-    data = flat.astype("<f4").reshape(shape)
-    return data[::-1].copy()  # bottom-to-top storage -> top-first array
+    # one copy: bottom-to-top storage -> top-first, little-endian, writeable
+    return np.array(flat.reshape(shape)[::-1], dtype="<f4")
 
 
 def write_pfm(path, data) -> None:

@@ -52,14 +52,6 @@ def unit_to_spherical(v) -> tuple:
     return theta, phi
 
 
-def as_direction(d) -> np.ndarray:
-    """Coerce a direction given as a unit 3-vector or a (theta, phi) pair."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape == (2,):
-        return spherical_to_unit(d[0], d[1])
-    return _as_unit(d)
-
-
 def _as_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != 3:
@@ -168,9 +160,8 @@ def sg_radiance(intensity, sharpness, axis, dirs) -> np.ndarray:
 
 
 def eval_sg(lobe: SphericalGaussian, direction) -> np.ndarray:
-    """Evaluate one lobe at a direction (unit 3-vector or (theta, phi))."""
-    d = as_direction(direction)
-    return sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, d)
+    """Evaluate one lobe at a unit 3-vector direction."""
+    return sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, _as_unit(direction))
 
 
 def _pixel_visibility(env: SgEnvironment, pixel=None):
@@ -194,7 +185,7 @@ def eval_mixture(env: SgEnvironment, direction, pixel=None) -> np.ndarray:
     required when the environment carries visibility and must be omitted
     otherwise. Absent visibility means every factor is 1.
     """
-    return mixture_radiance(env, as_direction(direction), _pixel_visibility(env, pixel))
+    return mixture_radiance(env, _as_unit(direction), _pixel_visibility(env, pixel))
 
 
 def mixture_radiance(env: SgEnvironment, dirs, mu=None) -> np.ndarray:

@@ -24,8 +24,8 @@ from .envmap import EnvironmentMap, grid_directions, solid_angle_weights
 from .sg import (
     SgEnvironment,
     SphericalGaussian,
+    _as_unit,
     _frozen,
-    as_direction,
     lobe_values,
     mixture_radiance,
     sg_radiance,
@@ -75,7 +75,7 @@ def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
       "sharpness": (3,) dG/d sharpness = intensity * (l.axis - 1) * exp(...);
       "theta", "phi": (3,) partials through the axis angles.
     """
-    l = as_direction(direction)
+    l = _as_unit(direction)
     d_theta, d_phi = _axis_partials(*unit_to_spherical(lobe.axis))
     e = float(lobe_values(lobe.axis, lobe.sharpness, l))
     d_axis = lobe.sharpness * lobe.intensity * e  # common factor of axis partials

@@ -29,6 +29,8 @@ CHANNEL_ORDER = "alpha intensity axis sharpness"
 CHUNK_POINTS = 1 << 12
 # ray samples per bench_orders chunk (1 MiB of records); a chunk holds >= 1 ray
 BENCH_SAMPLES = 1 << 14
+# timed repeats per bench_orders chunk; each order reports their median
+BENCH_RUNS = 5
 
 
 @dataclass(frozen=True)
@@ -135,18 +137,18 @@ def ray_box_intersect(bbox_min, bbox_max, origins, dirs):
     return t_near, hi, hit
 
 
-def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
+def _interp_records(vol: VsgVolume, points, out) -> None:
     """Fill out (N, 8) with the 8 channels interpolated at points (N, 3).
 
-    Trilinear over voxel centers (edge clamped), or nearest-neighbor when
-    nearest=True. The axis columns are renormalized; a vanishing
-    interpolated axis falls back to +z. Works through CHUNK_POINTS points
-    at a time in channel-major scratch: (3, n) coordinate rows (96 kB each
-    at n = CHUNK_POINTS) and a 256 kB (8, n) accumulator. Each corner is
-    gathered from vol.lattice's (8, X*Y*Z) grid into the chunk's own bytes
-    of out with mode="clip" (indices are in range by construction; the
-    default mode buffers out), and one transposed copy then fills the
-    chunk. Scratch stays under 1 MB whatever N is.
+    Trilinear over voxel centers (edge clamped). The axis columns are
+    renormalized; a vanishing interpolated axis falls back to +z. Works
+    through CHUNK_POINTS points at a time in channel-major scratch: (3, n)
+    coordinate rows (96 kB each at n = CHUNK_POINTS) and a 256 kB (8, n)
+    accumulator. Each corner is gathered from vol.lattice's (8, X*Y*Z)
+    grid into the chunk's own bytes of out with mode="clip" (indices are in
+    range by construction; the default mode buffers out), and one
+    transposed copy then fills the chunk. Scratch stays under 1 MB
+    whatever N is.
     """
     grid, bbox_min, cell, g_max, i_max, stride, offsets = vol.lattice
     total = np.empty(8 * min(CHUNK_POINTS, points.shape[0]))
@@ -157,26 +159,23 @@ def _interp_records(vol: VsgVolume, points, out, nearest: bool = False) -> None:
         g = np.subtract(points[lo:lo + CHUNK_POINTS].T, bbox_min, order="C") / cell - 0.5
         np.maximum(g, 0.0, out=g)
         np.minimum(g, g_max, out=g)
-        if nearest:
-            grid.take((stride @ np.rint(g)).astype(np.int64), axis=1, out=acc, mode="clip")
-        else:
-            i0 = np.floor(g)
-            np.minimum(i0, i_max, out=i0)
-            base = (stride @ i0).astype(np.int64)
-            f = np.subtract(g, i0, out=g)
-            f1 = np.subtract(1.0, f, out=i0)
-            # rec's bytes hold each corner until the final copy overwrites them
-            c = rec.reshape(8, -1)
-            acc[:] = 0.0
-            for dx in (0, 1):
-                wx = f1[0] if dx == 0 else f[0]
-                for dy in (0, 1):
-                    wxy = wx * (f1[1] if dy == 0 else f[1])
-                    for dz in (0, 1):
-                        w = wxy * (f1[2] if dz == 0 else f[2])
-                        grid.take(base + offsets[4 * dx + 2 * dy + dz], axis=1, out=c, mode="clip")
-                        c *= w
-                        acc += c
+        i0 = np.floor(g)
+        np.minimum(i0, i_max, out=i0)
+        base = (stride @ i0).astype(np.int64)
+        f = np.subtract(g, i0, out=g)
+        f1 = np.subtract(1.0, f, out=i0)
+        # rec's bytes hold each corner until the final copy overwrites them
+        c = rec.reshape(8, -1)
+        acc[:] = 0.0
+        for dx in (0, 1):
+            wx = f1[0] if dx == 0 else f[0]
+            for dy in (0, 1):
+                wxy = wx * (f1[1] if dy == 0 else f[1])
+                for dz in (0, 1):
+                    w = wxy * (f1[2] if dz == 0 else f[2])
+                    grid.take(base + offsets[4 * dx + 2 * dy + dz], axis=1, out=c, mode="clip")
+                    c *= w
+                    acc += c
         norm = np.sqrt(np.add.reduce(acc[4:7] * acc[4:7]))
         ok = norm > 1e-12
         np.divide(acc[4:7], norm, out=acc[4:7], where=ok)
@@ -190,7 +189,7 @@ def _fields(rec):
     return rec[..., 0], rec[..., 1:4], rec[..., 4:7], rec[..., 7]
 
 
-def _march(vol: VsgVolume, origins, dirs, t_near, t_far, n_r: int, nearest: bool = False):
+def _march(vol: VsgVolume, origins, dirs, t_near, t_far, n_r: int):
     """Records at the midpoints of n_r equal segments of [t_near, t_far] along each ray.
 
     The one sampler behind sample_ray and bench_orders: rays (..., 3) of any
@@ -200,14 +199,12 @@ def _march(vol: VsgVolume, origins, dirs, t_near, t_far, n_r: int, nearest: bool
     t = t_near[..., None] + (np.arange(n_r) + 0.5) * (t_far - t_near)[..., None] / n_r
     points = origins[..., None, :] + t[..., None] * dirs[..., None, :]
     rec = np.empty(t.shape + (8,))
-    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8), nearest)
+    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8))
     return t, rec
 
 
-def sample_ray(
-    vol: VsgVolume, origin, direction, n_r: int = 128, nearest: bool = False
-) -> RaySampleSet:
-    """March one ray and interpolate n_r records across the box overlap.
+def sample_ray(vol: VsgVolume, origin, direction, n_r: int = 128) -> RaySampleSet:
+    """March one ray and trilinearly interpolate n_r records across the box overlap.
 
     Samples sit at the midpoints of n_r equal segments of [t_near, t_far].
     A ray that misses the box yields an empty set.
@@ -222,7 +219,7 @@ def sample_ray(
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     if not hit:
         return RaySampleSet(np.zeros(0), *_fields(np.zeros((0, 8))))
-    t, rec = _march(vol, origin, direction, t_near, t_far, n_r, nearest)
+    t, rec = _march(vol, origin, direction, t_near, t_far, n_r)
     return RaySampleSet(t, *_fields(rec))
 
 
@@ -280,9 +277,7 @@ def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
     return origins, dirs
 
 
-def bench_orders(
-    vol: VsgVolume, rays: int = 100000, n_r: int = 128, runs: int = 5, seed: int = 0
-) -> dict:
+def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int = 0) -> dict:
     """Time both compositing orders on identical sampled records.
 
     Rays are drawn, sampled and composited max(1, BENCH_SAMPLES // n_r)
@@ -292,14 +287,14 @@ def bench_orders(
     each chunk's rays as it samples sample_ray's one ray. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
-    (rays * n_r for "before", rays for "after") and the median over runs
-    of the summed per-chunk wall times.
+    (rays * n_r for "before", rays for "after") and the median over
+    BENCH_RUNS runs of the summed per-chunk wall times.
     """
-    if runs < 1 or rays < 1 or n_r < 1:
-        raise ValueError("runs, rays and n_r must be >= 1")
+    if rays < 1 or n_r < 1:
+        raise ValueError("rays and n_r must be >= 1")
     rng = np.random.default_rng(seed)
-    t_before = np.zeros(runs)
-    t_after = np.zeros(runs)
+    t_before = np.zeros(BENCH_RUNS)
+    t_after = np.zeros(BENCH_RUNS)
     done = 0
     while done < rays:
         n = min(max(1, BENCH_SAMPLES // n_r), rays - done)
@@ -307,7 +302,7 @@ def bench_orders(
         t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
         _, rec = _march(vol, origins, dirs, t_near, t_far, n_r)
         alpha, intensity, axis, sharpness = _fields(rec)
-        for r in range(runs):
+        for r in range(BENCH_RUNS):
             t0 = time.perf_counter()
             _composite_before(alpha, intensity, axis, sharpness, dirs)
             t1 = time.perf_counter()
@@ -343,7 +338,7 @@ def save_vsg(path, vol: VsgVolume) -> None:
     ).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(vol.data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(vol.data, dtype="<f4"))
 
 
 def load_vsg(path) -> VsgVolume:
@@ -372,10 +367,8 @@ def load_vsg(path) -> VsgVolume:
     if lines[3] != CHANNEL_ORDER:
         raise ValueError(f"unexpected channel order {lines[3]!r}")
     count = dims[0] * dims[1] * dims[2] * 8
-    payload = buf[pos:]
-    if len(payload) != count * 4:
-        raise ValueError(
-            f"volume payload must be {count * 4} bytes, got {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype="<f4", count=count).astype(np.float64)
+    size = len(buf) - pos
+    if size != count * 4:
+        raise ValueError(f"volume payload must be {count * 4} bytes, got {size}")
+    data = np.frombuffer(buf, dtype="<f4", count=count, offset=pos)
     return VsgVolume(data.reshape(dims + (8,)), bbox[:3], bbox[3:])

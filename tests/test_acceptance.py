@@ -140,7 +140,7 @@ def test_criterion_05_order_benchmark():
     """Compositing after aggregation needs one lobe evaluation per ray and
     runs faster than evaluating at every sample."""
     vol = random_volume(np.random.default_rng(3))
-    res = bench_orders(vol, rays=100000, n_r=128, runs=5, seed=0)
+    res = bench_orders(vol, rays=100000, n_r=128, seed=0)
     ratio_ok = (res["g_evals_before"] == 128 * res["g_evals_after"]
                 and res["g_evals_after"] == 100000)
     faster = res["seconds_after"] < res["seconds_before"]

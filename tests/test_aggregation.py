@@ -39,14 +39,6 @@ class TestBuildTokens:
             build_tokens(np.zeros((2, 5)), np.zeros((2, 3)), np.zeros(3),
                          np.zeros(5))
 
-    def test_concat_mode(self):
-        f_spec = np.ones((2, 4))
-        rgb = np.zeros((2, 3))
-        ctx = np.array([2.0])
-        seq = build_tokens(f_spec, rgb, ctx, np.zeros(8), mode="concat")
-        assert seq.width == 8
-        np.testing.assert_allclose(seq.tokens[0], [1, 1, 1, 1, 0, 0, 0, 2])
-
 
 class TestMaskedAttention:
     def test_bitwise_invariance(self):

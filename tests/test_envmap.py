@@ -11,8 +11,6 @@ from sglight.envmap import (
     hdr_forward,
     hdr_inverse,
     solid_angle_weights,
-    tile_per_pixel,
-    untile_per_pixel,
 )
 from sglight.sg import SgEnvironment, SphericalGaussian, eval_sg
 
@@ -120,31 +118,6 @@ class TestHdrCurve:
             hdr_forward(-0.1)
         with pytest.raises(ValueError):
             hdr_inverse(-0.1)
-
-
-class TestTiling:
-    def test_round_trip(self):
-        rng = np.random.default_rng(42)
-        per_pixel = rng.uniform(size=(3, 5, 4, 8, 3))
-        tiled = tile_per_pixel(per_pixel)
-        assert tiled.shape == (12, 40, 3)
-        np.testing.assert_array_equal(
-            untile_per_pixel(tiled, 4, 8), per_pixel
-        )
-
-    def test_block_placement(self):
-        """Pixel (i, j) occupies the (i, j) tile of the packed sheet."""
-        per_pixel = np.zeros((2, 2, 4, 8, 3))
-        per_pixel[1, 0] = 7.0
-        tiled = tile_per_pixel(per_pixel)
-        assert np.all(tiled[4:8, 0:8] == 7.0)
-        assert tiled.sum() == 7.0 * 4 * 8 * 3
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            tile_per_pixel(np.zeros((2, 2, 4, 8)))
-        with pytest.raises(ValueError):
-            untile_per_pixel(np.zeros((10, 16, 3)), 4, 8)
 
 
 class TestValidation:

@@ -90,6 +90,24 @@ class TestRoundTrip:
         assert peak < 1.5 * img.nbytes, peak
         assert np.array_equal(read_pfm(tmp_path / "big.pfm"), img)
 
+    def test_read_holds_one_payload_copy(self, tmp_path):
+        """The payload is read in place from the file's bytes and copied
+        once into the flipped array: reading a float32 512x512x3 image
+        peaks below 2.5x its payload (the file's bytes are one, the
+        returned image one, the NaN check a quarter)."""
+        img = np.ones((512, 512, 3), dtype=np.float32)
+        write_pfm(tmp_path / "warm.pfm", img[:1, :1])
+        read_pfm(tmp_path / "warm.pfm")
+        write_pfm(tmp_path / "big.pfm", img)
+        tracemalloc.start()
+        try:
+            back = read_pfm(tmp_path / "big.pfm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * img.nbytes, peak
+        assert np.array_equal(back, img)
+
 
 class TestScaleHandling:
     def test_big_endian_read(self, tmp_path):
@@ -98,6 +116,24 @@ class TestScaleHandling:
         path.write_bytes(b"Pf\n2 1\n1.0\n" + struct.pack(">2f", 1.5, -2.5))
         back = read_pfm(path)
         np.testing.assert_array_equal(back, [[1.5, -2.5]])
+
+    @pytest.mark.parametrize("shape", [(1, 5, 3), (4, 3, 3), (3, 2)])
+    def test_big_endian_bytes_unchanged(self, tmp_path, shape):
+        """A big-endian payload reads to the bits of the little-endian
+        file of the same image, denormals, signed zeros and infinities
+        included, as a writeable native float32 array even for one row."""
+        img = random_image(np.random.default_rng(9), shape)
+        img.reshape(-1)[:4] = [1e-45, -0.0, np.inf, -np.inf]
+        write_pfm(tmp_path / "le.pfm", img)
+        magic = b"PF" if img.ndim == 3 else b"Pf"
+        h, w = shape[:2]
+        path = tmp_path / "be.pfm"
+        path.write_bytes(magic + f"\n{w} {h}\n1.0\n".encode("ascii")
+                         + img[::-1].astype(">f4").tobytes())
+        back = read_pfm(path)
+        assert back.dtype == np.float32 and back.flags.writeable
+        assert np.array_equal(back.view(np.uint32), read_pfm(tmp_path / "le.pfm").view(np.uint32))
+        assert np.array_equal(back.view(np.uint32), img.view(np.uint32))
 
     def test_scale_magnitude_ignored(self, tmp_path):
         path = tmp_path / "s.pfm"

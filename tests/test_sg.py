@@ -6,7 +6,6 @@ import pytest
 from sglight.sg import (
     SgEnvironment,
     SphericalGaussian,
-    as_direction,
     eval_mixture,
     eval_sg,
     integrate_sg_sphere,
@@ -15,6 +14,7 @@ from sglight.sg import (
     spherical_to_unit,
     unit_to_spherical,
 )
+from sglight.sgfit import sg_gradients
 
 
 def quadrature_integral(lobe, n_lat=256, n_lon=512):
@@ -95,16 +95,21 @@ class TestEvalSg:
         scaled = eval_sg(SphericalGaussian(axis, 3.0, [2.5, 2.5, 2.5]), d)
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
-    def test_accepts_spherical_pair(self):
-        lobe = SphericalGaussian([0.0, 0.0, 1.0], 2.0, [1.0, 1.0, 1.0])
-        v = eval_sg(lobe, (0.3, 1.2))
-        u = eval_sg(lobe, spherical_to_unit(0.3, 1.2))
-        np.testing.assert_allclose(v, u)
-
     def test_rejects_non_unit_direction(self):
         lobe = SphericalGaussian([0.0, 0.0, 1.0], 2.0, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             eval_sg(lobe, [0.0, 0.0, 2.0])
+
+    def test_rejects_angle_pair(self):
+        """Directions are unit 3-vectors only: a (theta, phi) pair is an
+        error in each lobe evaluator, not an angle."""
+        lobe = SphericalGaussian([0.0, 0.0, 1.0], 2.0, [1.0, 1.0, 1.0])
+        env = SgEnvironment((lobe,))
+        for evaluate in (eval_sg, sg_gradients):
+            with pytest.raises(ValueError, match="3-vector"):
+                evaluate(lobe, (0.3, 1.2))
+        with pytest.raises(ValueError, match="3-vector"):
+            eval_mixture(env, (0.3, 1.2))
 
 
 class TestDirections:
@@ -122,7 +127,7 @@ class TestDirections:
         theta, phi = unit_to_spherical([0.0, 0.0, 1.0])
         assert theta == 0.0
         np.testing.assert_allclose(
-            as_direction((np.pi, 0.0)), [0.0, 0.0, -1.0], atol=1e-15
+            spherical_to_unit(np.pi, 0.0), [0.0, 0.0, -1.0], atol=1e-15
         )
 
 

@@ -122,23 +122,6 @@ class TestSampling:
             np.linalg.norm(s.axis, axis=-1), 1.0, rtol=1e-12
         )
 
-    def test_nearest_mode_picks_voxel_values(self):
-        rng = np.random.default_rng(3)
-        vol = random_volume(rng, dims=(2, 2, 2))
-        s = sample_ray(vol, [-2.0, -0.5, -0.5], [1.0, 0.0, 0.0],
-                       n_r=8, nearest=True)
-        # every sampled record must be one of the 8 stored voxel records
-        stored = vol.data.reshape(-1, 8)
-        sampled = np.concatenate(
-            [s.alpha[:, None], s.intensity, s.axis, s.sharpness[:, None]],
-            axis=1,
-        )
-        for row in sampled:
-            match = np.isclose(stored[:, 0], row[0]) & np.isclose(
-                stored[:, 7], row[7]
-            )
-            assert match.any()
-
     def test_vanishing_axis_falls_back_to_z(self):
         """Opposite axes +x and -x average to zero midway between their
         voxels, where the record's axis becomes +z; off the midpoint the
@@ -159,9 +142,9 @@ class TestSampling:
             sample_ray(vol, [-2.0, 0.0, 0.0], [2.0, 0.0, 0.0])
 
 
-def reference_records(vol, points):
-    """Per-corner trilinear interpolation with clamped 3-array indexing
-    and a renormalized axis, in one pass without flat indices."""
+def trilinear_reference(vol, points):
+    """Per-corner trilinear interpolation with clamped 3-array indexing,
+    in one pass without flat indices; the axis is left as blended."""
     dims = np.array(vol.dims, dtype=np.float64)
     g = (points - vol.bbox_min) / ((vol.bbox_max - vol.bbox_min) / dims) - 0.5
     g = np.clip(g, 0.0, dims - 1.0)
@@ -179,6 +162,12 @@ def reference_records(vol, points):
                 wz = (1.0 - f[..., 2]) if dz == 0 else f[..., 2]
                 z = np.minimum(i0[..., 2] + dz, int(dims[2]) - 1)
                 rec += (wx * wy * wz)[..., None] * vol.data[x, y, z]
+    return rec
+
+
+def reference_records(vol, points):
+    """trilinear_reference with the axis renormalized, +z where it vanishes."""
+    rec = trilinear_reference(vol, points)
     axis = rec[..., 4:7]
     norm = np.linalg.norm(axis, axis=-1, keepdims=True)
     ok = norm > 1e-12
@@ -224,38 +213,20 @@ class TestChunkedSampling:
         rng = np.random.default_rng(12)
         vol = random_volume(rng, dims=dims)
         origins, dirs = vsg._random_rays(vol, 8, rng)
-        for nearest in (False, True):
-            whole = [ray_records(sample_ray(vol, o, d, 128, nearest))
-                     for o, d in zip(origins, dirs)]
-            monkeypatch.setattr(vsg, "CHUNK_POINTS", 7)
-            split = [ray_records(sample_ray(vol, o, d, 128, nearest))
-                     for o, d in zip(origins, dirs)]
-            monkeypatch.undo()
-            assert all(np.array_equal(a, b) for a, b in zip(whole, split))
-
-    def test_nearest_picks_rounded_voxel(self):
-        rng = np.random.default_rng(13)
-        vol = random_volume(rng, dims=(1, 4, 5))
-        s = sample_ray(vol, [-1.0, -0.9, -0.8], normalize([1.0, 0.7, 0.6]),
-                       n_r=64, nearest=True)
-        points = s.t[:, None] * normalize([1.0, 0.7, 0.6]) + [-1.0, -0.9, -0.8]
-        dims = np.array(vol.dims, dtype=np.float64)
-        g = (points - vol.bbox_min) / ((vol.bbox_max - vol.bbox_min) / dims) - 0.5
-        idx = np.rint(np.clip(g, 0.0, dims - 1.0)).astype(np.int64)
-        want = vol.data[idx[:, 0], idx[:, 1], idx[:, 2]].copy()
-        norm = np.linalg.norm(want[:, 4:7], axis=-1, keepdims=True)
-        want[:, 4:7] /= norm
-        assert np.array_equal(ray_records(s), want)
+        whole = [ray_records(sample_ray(vol, o, d, 128)) for o, d in zip(origins, dirs)]
+        monkeypatch.setattr(vsg, "CHUNK_POINTS", 7)
+        split = [ray_records(sample_ray(vol, o, d, 128)) for o, d in zip(origins, dirs)]
+        assert all(np.array_equal(a, b) for a, b in zip(whole, split))
 
     @pytest.mark.parametrize("dims", [(1, 4, 5), (1, 1, 1), (3, 7, 2)])
     def test_faces_and_corners_gather_exact_voxels(self, dims):
         """Points on and just beyond every face, edge and corner of the box.
 
         The gathers use mode="clip", which would silently clamp a wrong
-        flat index; both modes must still give the per-corner reference
-        and the rounded voxel exactly. Each volume is checked as drawn and
-        with a third of its voxel axes zero and a third 1e-13 long, so one
-        chunk mixes renormalized records with +z fallback records."""
+        flat index; the records must still be the per-corner reference
+        exactly. Each volume is checked as drawn and with a third of its
+        voxel axes zero and a third 1e-13 long, so one chunk mixes
+        renormalized records with +z fallback records."""
         vol = random_volume(np.random.default_rng(15), dims=dims)
         data = vol.data.copy()
         phase = np.indices(dims).sum(axis=0) % 3
@@ -268,22 +239,15 @@ class TestChunkedSampling:
                           (lo + hi) / 2, hi - 0.5 * cell, hi, hi + 1e-12, hi + 0.3 * cell])
         points = np.stack(np.meshgrid(ticks[:, 0], ticks[:, 1], ticks[:, 2],
                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        g = (points - lo) / cell - 0.5
-        idx = np.rint(np.clip(g, 0.0, np.array(dims) - 1.0)).astype(np.int64)
         rec = np.empty((len(points), 8))
         for v in (vol, vanishing):
             vsg._interp_records(v, points, rec)
             assert np.array_equal(rec, reference_records(v, points))
-            vsg._interp_records(v, points, rec, nearest=True)
-            want = v.data[idx[:, 0], idx[:, 1], idx[:, 2]].copy()
-            axis = want[:, 4:7]
-            norm = np.linalg.norm(axis, axis=-1, keepdims=True)
-            ok = norm > 1e-12
-            want[:, 4:7] = np.where(ok, axis / np.where(ok, norm, 1.0), [0.0, 0.0, 1.0])
-            assert np.array_equal(rec, want)
-        # the vanishing volume falls back, and renormalizes too where it has
-        # more than one voxel
+        # the vanishing volume falls back to +z, and renormalizes too where
+        # it has more than one voxel
+        ok = np.linalg.norm(trilinear_reference(vanishing, points)[:, 4:7], axis=-1) > 1e-12
         assert not ok.all() and (ok.any() or dims == (1, 1, 1))
+        assert (rec[~ok, 4:7] == [0.0, 0.0, 1.0]).all()
 
 
 class TestCompositing:
@@ -357,7 +321,7 @@ class TestBench:
     def test_eval_counts_and_keys(self):
         rng = np.random.default_rng(42)
         vol = random_volume(rng, dims=(3, 3, 3))
-        out = bench_orders(vol, rays=512, n_r=16, runs=2, seed=1)
+        out = bench_orders(vol, rays=512, n_r=16, seed=1)
         assert out["g_evals_before"] == 512 * 16
         assert out["g_evals_after"] == 512
         assert out["seconds_before"] > 0.0
@@ -365,25 +329,27 @@ class TestBench:
         assert out["rays"] == 512 and out["n_r"] == 16
 
     @staticmethod
-    def traced_peak(**kwargs):
+    def traced_peak(monkeypatch, **kwargs):
+        """One timed run is enough: the runs reuse the chunk's records."""
+        monkeypatch.setattr(vsg, "BENCH_RUNS", 1)
         vol = random_volume(np.random.default_rng(14), dims=(16, 16, 16))
         tracemalloc.start()
         try:
-            bench_orders(vol, runs=1, **kwargs)
+            bench_orders(vol, **kwargs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_peak_memory_bounded(self):
+    def test_peak_memory_bounded(self, monkeypatch):
         """Records are sampled and composited in chunks of BENCH_SAMPLES
         samples (1 MiB of records), so the traced peak stays far below the
         134 MB of (16384, 128, 8) records."""
-        assert self.traced_peak(rays=16384, n_r=128) < 8e6
+        assert self.traced_peak(monkeypatch, rays=16384, n_r=128) < 8e6
 
-    def test_peak_memory_bounded_at_large_n_r(self):
+    def test_peak_memory_bounded_at_large_n_r(self, monkeypatch):
         """Past BENCH_SAMPLES samples per ray a chunk is one ray: 8 MiB of
         records at n_r = 2^17, not a fixed ray count times n_r."""
-        assert self.traced_peak(rays=8, n_r=2**17) < 40e6
+        assert self.traced_peak(monkeypatch, rays=8, n_r=2**17) < 40e6
 
 
 class TestDiskFormat:
@@ -399,6 +365,39 @@ class TestDiskFormat:
         )
         np.testing.assert_array_equal(back.bbox_min, vol.bbox_min)
         np.testing.assert_array_equal(back.bbox_max, vol.bbox_max)
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        """The float32 grid goes to the file as it is: saving a 32^3
+        volume peaks below 1.5x its float32 payload."""
+        vol = random_volume(np.random.default_rng(16), dims=(32, 32, 32))
+        save_vsg(tmp_path / "warm.vsg", random_volume(np.random.default_rng(16), dims=(1, 1, 1)))
+        _, peak = self.traced_peak(save_vsg, tmp_path / "v.vsg", vol)
+        payload = vol.data.size * 4
+        assert peak < 1.5 * payload, peak / payload
+        assert len((tmp_path / "v.vsg").read_bytes().split(b"\n", 4)[4]) == payload
+
+    def test_read_holds_no_payload_slice(self, tmp_path):
+        """The payload is read in place from the file's bytes and widened
+        once, by the constructor: loading a 32^3 volume peaks below 5.5x
+        its float32 payload (the file's bytes, then the float64 copy and
+        the channel-major grid of VsgVolume, two each)."""
+        vol = random_volume(np.random.default_rng(17), dims=(32, 32, 32))
+        save_vsg(tmp_path / "warm.vsg", random_volume(np.random.default_rng(17), dims=(1, 1, 1)))
+        load_vsg(tmp_path / "warm.vsg")
+        save_vsg(tmp_path / "v.vsg", vol)
+        back, peak = self.traced_peak(load_vsg, tmp_path / "v.vsg")
+        payload = vol.data.size * 4
+        assert peak < 5.5 * payload, peak / payload
+        assert np.array_equal(back.data, vol.data.astype(np.float32))
 
     def test_header_layout(self, tmp_path):
         vol = constant_volume(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], 2.0,
