@@ -63,12 +63,12 @@ def _as_unit(v) -> np.ndarray:
 
 
 def _frozen(value, name, lo=None, hi=None, shape=None) -> np.ndarray:
-    """A read-only float64 copy of value, of the given shape, finite, in [lo, hi].
+    """A read-only C-ordered float64 copy of value, of the given shape, finite, in [lo, hi].
 
     The one helper constructors check and freeze their array inputs with;
     writing to the caller's array afterwards cannot reach the copy.
     """
-    a = np.array(value, dtype=np.float64)
+    a = np.array(value, dtype=np.float64, order="C")
     if shape is not None and a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):

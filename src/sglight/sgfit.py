@@ -76,6 +76,8 @@ def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
       "theta", "phi": (3,) partials through the axis angles.
     """
     l = _as_unit(direction)
+    if l.shape != (3,):
+        raise ValueError(f"direction must be one 3-vector, got shape {l.shape}")
     d_theta, d_phi = _axis_partials(*unit_to_spherical(lobe.axis))
     e = float(lobe_values(lobe.axis, lobe.sharpness, l))
     d_axis = lobe.sharpness * lobe.intensity * e  # common factor of axis partials

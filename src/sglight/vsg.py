@@ -12,6 +12,8 @@ weighted sum and is deliberately not renormalized.
 Compositing weights are w_n = alpha_n * prod_{m<n} (1 - alpha_m); the
 weights plus the residual transmittance prod_n (1 - alpha_n) sum to 1.
 Both orders evaluate lobes at -l for a ray marched along l.
+Records stay channel-major from the grid to the composite, (8, R, n_r) for
+R rays; one kernel per order composites a batch and one ray alike.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sg import _as_unit, _frozen, lobe_values, sg_radiance
+from .sg import _as_unit, _frozen, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
-# points interpolated at once; the (8, points) float64 accumulator is 256 kB
+# points interpolated at once; the (8, points) float64 corner buffer is 256 kB
 CHUNK_POINTS = 1 << 12
-# ray samples per bench_orders chunk (1 MiB of records); a chunk holds >= 1 ray
+# ray samples per bench_orders chunk (a 1 MiB record buffer); a chunk holds >= 1 ray
 BENCH_SAMPLES = 1 << 14
 # timed repeats per bench_orders chunk; each order reports their median
 BENCH_RUNS = 5
@@ -49,24 +51,24 @@ class VsgVolume:
     lattice: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = _frozen(self.data, "volume data")
-        if data.ndim != 4 or data.shape[3] != 8 or 0 in data.shape[:3]:
+        data = np.asarray(self.data)
+        # the one stored copy, channel-major (8, X, Y, Z), made and checked straight from the input
+        grid = _frozen(np.moveaxis(data, -1, 0) if data.ndim else data, "volume data")
+        if grid.ndim != 4 or grid.shape[0] != 8 or 0 in grid.shape[1:]:
             raise ValueError("volume data must be (X, Y, Z, 8) with X, Y, Z >= 1")
-        if np.any(data[..., 0] < 0.0) or np.any(data[..., 0] > 1.0):
+        if np.any(grid[0] < 0.0) or np.any(grid[0] > 1.0):
             raise ValueError("alpha channel must lie in [0, 1]")
-        if np.any(data[..., 7] < 0.0):
+        if np.any(grid[7] < 0.0):
             raise ValueError("sharpness channel must be >= 0")
         lo = _frozen(self.bbox_min, "bbox_min", shape=(3,))
         hi = _frozen(self.bbox_max, "bbox_max", shape=(3,))
         if np.any(hi <= lo):
             raise ValueError("bbox_max must exceed bbox_min on every axis")
-        grid = np.ascontiguousarray(np.moveaxis(data, 3, 0))  # the one stored copy
-        grid.flags.writeable = False
         object.__setattr__(self, "data", np.moveaxis(grid, 0, 3))
         object.__setattr__(self, "bbox_min", lo)
         object.__setattr__(self, "bbox_max", hi)
-        dims = np.array(data.shape[:3], dtype=np.float64)
-        stride = np.array([data.shape[1] * data.shape[2], data.shape[2], 1.0])
+        dims = np.array(grid.shape[1:], dtype=np.float64)
+        stride = np.array([dims[1] * dims[2], dims[2], 1.0])
         offsets = [int(np.dot(c, np.where(dims > 1, stride, 0))) for c in np.ndindex(2, 2, 2)]
         object.__setattr__(self, "lattice", (
             grid.reshape(8, -1), lo[:, None], ((hi - lo) / dims)[:, None], (dims - 1.0)[:, None],
@@ -138,25 +140,24 @@ def ray_box_intersect(bbox_min, bbox_max, origins, dirs):
 
 
 def _interp_records(vol: VsgVolume, points, out) -> None:
-    """Fill out (N, 8) with the 8 channels interpolated at points (N, 3).
+    """Fill out (8, N) with the 8 channels interpolated at points (3, N).
 
-    Trilinear over voxel centers (edge clamped). The axis columns are
+    Trilinear over voxel centers (edge clamped). The axis rows are
     renormalized; a vanishing interpolated axis falls back to +z. Works
-    through CHUNK_POINTS points at a time in channel-major scratch: (3, n)
-    coordinate rows (96 kB each at n = CHUNK_POINTS) and a 256 kB (8, n)
-    accumulator. Each corner is gathered from vol.lattice's (8, X*Y*Z)
-    grid into the chunk's own bytes of out with mode="clip" (indices are in
-    range by construction; the default mode buffers out), and one
-    transposed copy then fills the chunk. Scratch stays under 1 MB
-    whatever N is.
+    through CHUNK_POINTS points at a time, channel-major throughout: (3, n)
+    coordinate rows (96 kB each at n = CHUNK_POINTS) and one (8, n) corner
+    buffer (256 kB) per call, into which each corner is gathered from
+    vol.lattice's (8, X*Y*Z) grid with mode="clip" (indices are in range by
+    construction; the default mode buffers out), weighted and added to the
+    chunk's zeroed columns of out. Scratch stays under 1 MB whatever N is.
     """
     grid, bbox_min, cell, g_max, i_max, stride, offsets = vol.lattice
-    total = np.empty(8 * min(CHUNK_POINTS, points.shape[0]))
-    for lo in range(0, points.shape[0], CHUNK_POINTS):
-        rec = out[lo:lo + CHUNK_POINTS]
-        acc = total[:rec.size].reshape(8, -1)
+    corner = np.empty(8 * min(CHUNK_POINTS, points.shape[1]))
+    for lo in range(0, points.shape[1], CHUNK_POINTS):
+        acc = out[:, lo:lo + CHUNK_POINTS]
+        c = corner[:acc.size].reshape(8, -1)
         # continuous voxel-center coordinates, clamped to [0, dims - 1]
-        g = np.subtract(points[lo:lo + CHUNK_POINTS].T, bbox_min, order="C") / cell - 0.5
+        g = np.subtract(points[:, lo:lo + CHUNK_POINTS], bbox_min) / cell - 0.5
         np.maximum(g, 0.0, out=g)
         np.minimum(g, g_max, out=g)
         i0 = np.floor(g)
@@ -164,8 +165,6 @@ def _interp_records(vol: VsgVolume, points, out) -> None:
         base = (stride @ i0).astype(np.int64)
         f = np.subtract(g, i0, out=g)
         f1 = np.subtract(1.0, f, out=i0)
-        # rec's bytes hold each corner until the final copy overwrites them
-        c = rec.reshape(8, -1)
         acc[:] = 0.0
         for dx in (0, 1):
             wx = f1[0] if dx == 0 else f[0]
@@ -181,25 +180,19 @@ def _interp_records(vol: VsgVolume, points, out) -> None:
         np.divide(acc[4:7], norm, out=acc[4:7], where=ok)
         if not ok.all():
             acc[4:7, ~ok] = ((0.0,), (0.0,), (1.0,))
-        rec[:] = acc.T
 
 
-def _fields(rec):
-    """(alpha, intensity, axis, sharpness) views of (..., 8) records."""
-    return rec[..., 0], rec[..., 1:4], rec[..., 4:7], rec[..., 7]
-
-
-def _march(vol: VsgVolume, origins, dirs, t_near, t_far, n_r: int):
+def _march(vol: VsgVolume, origins, dirs, t_near, t_far, rec):
     """Records at the midpoints of n_r equal segments of [t_near, t_far] along each ray.
 
-    The one sampler behind sample_ray and bench_orders: rays (..., 3) of any
-    leading shape and their box overlap (callers drop misses) give distances
-    (..., n_r) and records (..., n_r, 8).
+    The one sampler behind sample_ray and bench_orders: rays (R, 3), or one
+    ray (3,), and their box overlap (callers drop misses) give distances
+    (R, n_r) and fill the caller's channel-major records rec, (8, R, n_r).
     """
+    n_r = rec.shape[-1]
     t = t_near[..., None] + (np.arange(n_r) + 0.5) * (t_far - t_near)[..., None] / n_r
-    points = origins[..., None, :] + t[..., None] * dirs[..., None, :]
-    rec = np.empty(t.shape + (8,))
-    _interp_records(vol, points.reshape(-1, 3), rec.reshape(-1, 8))
+    points = origins.T[..., None] + t * dirs.T[..., None]
+    _interp_records(vol, points.reshape(3, -1), rec.reshape(8, -1))
     return t, rec
 
 
@@ -217,50 +210,63 @@ def sample_ray(vol: VsgVolume, origin, direction, n_r: int = 128) -> RaySampleSe
         raise ValueError("origin and direction must be 3-vectors")
     direction = _as_unit(direction)
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
-    if not hit:
-        return RaySampleSet(np.zeros(0), *_fields(np.zeros((0, 8))))
-    t, rec = _march(vol, origin, direction, t_near, t_far, n_r)
-    return RaySampleSet(t, *_fields(rec))
+    t, rec = (_march(vol, origin, direction, t_near, t_far, np.empty((8, n_r))) if hit
+              else (np.zeros(0), np.zeros((8, 0))))
+    return RaySampleSet(t, rec[0], rec[1:4].T, rec[4:7].T, rec[7])
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
     """w_n = alpha_n * prod_{m<n}(1 - alpha_m) along the last axis."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     w = np.ones(alpha.shape)
-    np.cumprod(1.0 - alpha[..., :-1], axis=-1, out=w[..., 1:])
+    np.subtract(1.0, alpha[..., :-1], out=w[..., 1:])
+    np.multiply.accumulate(w[..., 1:], axis=-1, out=w[..., 1:])
     return np.multiply(w, alpha, out=w)
 
 
 def _composite_before(alpha, intensity, axis, sharpness, l):
-    """Blend of per-sample lobe evaluations at -l. Batched over rays."""
+    """Blend of per-sample lobe evaluations at -l, for rays l (R, 3) or one ray (3,).
+
+    Channel-major field rows: alpha and sharpness (R, n_r), intensity and
+    axis (3, R, n_r). The lobe is sg.lobe_values' with the dot product in a
+    fixed order (einsum's would follow the strides, and a batch could differ).
+    """
+    v = -l.T[..., None]
+    g = axis[0] * v[0]
+    g += axis[1] * v[1]
+    g += axis[2] * v[2]
+    g -= 1.0
+    g *= sharpness
     w = compositing_weights(alpha)
-    g = lobe_values(axis, sharpness, -np.asarray(l, dtype=np.float64)[..., None, :])
-    return np.einsum("...n,...n,...nc->...c", w, g, intensity)
+    w *= np.exp(g, out=g)
+    return np.einsum("c...n,...n->...c", intensity, w)
 
 
 def _composite_after(alpha, intensity, axis, sharpness, l):
-    """Single lobe evaluation at the weight-blended parameters."""
+    """Single lobe evaluation at the weight-blended parameters; fields as in
+    _composite_before. The blended axis is C-ordered for sg_radiance's einsum."""
     w = compositing_weights(alpha)
-    agg_int = np.einsum("...n,...nc->...c", w, intensity)
-    agg_sharp = np.einsum("...n,...n->...", w, sharpness)
-    agg_axis = np.einsum("...n,...nc->...c", w, axis)  # not renormalized
-    return sg_radiance(agg_int, agg_sharp, agg_axis, -np.asarray(l, dtype=np.float64))
+    agg_axis = np.einsum("c...n,...n->...c", axis, w, order="C")  # not renormalized
+    agg_int = np.einsum("c...n,...n->...c", intensity, w)
+    return sg_radiance(agg_int, np.einsum("...n,...n->...", sharpness, w), agg_axis, -l)
 
 
-def _nonempty_fields(samples: RaySampleSet):
+def _nonempty_fields(samples: RaySampleSet, l):
+    """Contiguous channel-major field rows and l; sample_ray's fields are views of such rows."""
     if len(samples) == 0:
         raise ValueError("cannot composite an empty sample set")
-    return samples.alpha, samples.intensity, samples.axis, samples.sharpness
+    rows = (samples.intensity.T, samples.axis.T, samples.sharpness)
+    return samples.alpha, *map(np.ascontiguousarray, rows), np.asarray(l, dtype=np.float64)
 
 
 def composite_sg_before(samples: RaySampleSet, l) -> np.ndarray:
     """Per-sample lobe evaluation, then alpha blend. Returns RGB."""
-    return _composite_before(*_nonempty_fields(samples), l)
+    return _composite_before(*_nonempty_fields(samples, l))
 
 
 def composite_sg_after(samples: RaySampleSet, l) -> np.ndarray:
     """Alpha blend the parameters, then one lobe evaluation. Returns RGB."""
-    return _composite_after(*_nonempty_fields(samples), l)
+    return _composite_after(*_nonempty_fields(samples, l))
 
 
 def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
@@ -281,10 +287,10 @@ def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int =
     """Time both compositing orders on identical sampled records.
 
     Rays are drawn, sampled and composited max(1, BENCH_SAMPLES // n_r)
-    at a time, so the records held at once are at most BENCH_SAMPLES * 64
-    bytes (1 MiB, reached at n_r = 128) however many rays are timed, or
-    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. _march samples
-    each chunk's rays as it samples sample_ray's one ray. Sampling is
+    at a time in one record buffer per call, of BENCH_SAMPLES * 64 bytes
+    (1 MiB, reached at n_r = 128) at most however many rays are timed, or
+    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. Each chunk is
+    sampled and composited as sample_ray's one ray is. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
     (rays * n_r for "before", rays for "after") and the median over
@@ -295,18 +301,20 @@ def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int =
     rng = np.random.default_rng(seed)
     t_before = np.zeros(BENCH_RUNS)
     t_after = np.zeros(BENCH_RUNS)
+    chunk = min(max(1, BENCH_SAMPLES // n_r), rays)
+    buf = np.empty(8 * chunk * n_r)
     done = 0
     while done < rays:
-        n = min(max(1, BENCH_SAMPLES // n_r), rays - done)
+        n = min(chunk, rays - done)
         origins, dirs = _random_rays(vol, n, rng)
         t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
-        _, rec = _march(vol, origins, dirs, t_near, t_far, n_r)
-        alpha, intensity, axis, sharpness = _fields(rec)
+        _, rec = _march(vol, origins, dirs, t_near, t_far, buf[:8 * n * n_r].reshape(8, n, n_r))
+        fields = rec[0], rec[1:4], rec[4:7], rec[7]
         for r in range(BENCH_RUNS):
             t0 = time.perf_counter()
-            _composite_before(alpha, intensity, axis, sharpness, dirs)
+            _composite_before(*fields, dirs)
             t1 = time.perf_counter()
-            _composite_after(alpha, intensity, axis, sharpness, dirs)
+            _composite_after(*fields, dirs)
             t2 = time.perf_counter()
             t_before[r] += t1 - t0
             t_after[r] += t2 - t1

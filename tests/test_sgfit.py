@@ -1,5 +1,6 @@
 """Lobe fitting: gradient oracle, recovery, trace discipline, visibility."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -115,6 +116,15 @@ class TestGradients:
         g = sg_gradients(lobe, axis)
         np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
         np.testing.assert_allclose(g["phi"], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (1, 1, 3)])
+    def test_batched_direction_rejected(self, shape):
+        """The partials are for one direction; a batch of unit directions
+        is a ValueError that names its shape."""
+        lobe = SphericalGaussian(normalize([0.3, 0.4, 0.9]), 6.0, [1.0, 1.0, 1.0])
+        dirs = np.broadcast_to(normalize([0.0, 0.6, 0.8]), shape)
+        with pytest.raises(ValueError, match=re.escape(f"one 3-vector, got shape {shape}")):
+            sg_gradients(lobe, dirs)
 
 
 def random_params(rng, s):
