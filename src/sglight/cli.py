@@ -123,25 +123,22 @@ def _cmd_render(args) -> int:
     env = _require(scene, "lighting")
     res = scene.quadrature
     h, threads = g.shape[0], args.threads
-    # specular first: its roughness and camera-size checks fail before any shading
+
+    def shade(band):
+        # specular first: its roughness and camera-size checks fail before any shading
+        specular = render_specular(g, env, cam, resolution=res, rows=band).data
+        return render_diffuse(g, env, resolution=res, rows=band).data, specular
+
     if threads == 1:
-        specular = render_specular(g, env, cam, resolution=res).data
+        diffuse, specular = shade(None)
     else:
         from concurrent.futures import ThreadPoolExecutor
-        bands = [
-            slice(start, min(start + max(1, h // threads), h))
-            for start in range(0, h, max(1, h // threads))
-        ]
-        specular = np.zeros(g.albedo.shape)
+        step = max(1, h // threads)
+        bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
+        diffuse, specular = np.zeros(g.albedo.shape), np.zeros(g.albedo.shape)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda band: (band, render_specular(g, env, cam, resolution=res,
-                                                    rows=band).data[band]),
-                bands,
-            )
-            for band, part in parts:
-                specular[band] = part
-    diffuse = render_diffuse(g, env, resolution=res).data
+            for band, (d, s) in zip(bands, pool.map(shade, bands)):
+                diffuse[band], specular[band] = d[band], s[band]
     with np.errstate(over="ignore"):  # overflow is reported below
         images = {kind: img.astype(np.float32) for kind, img in
                   (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}

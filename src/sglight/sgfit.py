@@ -184,11 +184,18 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
 
     Deterministic. The returned trace holds the objective after every
     accepted step (the initial objective first) and never increases.
+    A fit may have no more parameters than residuals (6 S <= 3 N for a map
+    of N cells); memory is O(N S + S^2).
     """
     if num_lobes < 1:
         raise ValueError("num_lobes must be >= 1")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    cells = target.rows * target.cols
+    if 6 * num_lobes > 3 * cells:  # more parameters than residuals
+        raise ValueError(f"num_lobes must be <= {cells // 2} for a "
+                         f"{target.rows}x{target.cols} map (6 parameters per lobe, "
+                         f"3 residuals per cell), got {num_lobes}")
     dirs, sqrt_w = _grid(target.rows, target.cols)
     log_tgt = np.log1p(target.data.reshape(-1, 3))
 
@@ -209,8 +216,10 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
         diag[diag <= 0.0] = 1e-12
         accepted = False
         for _ in range(60):  # damping escalation within one iteration
+            damped = h.copy()  # the trial's one (6S, 6S) matrix besides h
+            damped.flat[::len(damped) + 1] += damping * diag
             try:
-                step = np.linalg.solve(h + damping * np.diag(diag), -g)
+                step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 damping *= DAMPING_GROWTH
                 continue

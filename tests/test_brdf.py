@@ -490,9 +490,14 @@ class TestChunkedRenderers:
         plain_d = render_diffuse(g, env, resolution).data
         plain_s = render_specular(g, env, cam, resolution).data
         assert plain_s.any() and (plain_s == 0.0).any()
+        outside = np.ones(size, dtype=bool)
         for band in [slice(r, r + 1) for r in range(size)] + [slice(0, 7), slice(7, size)]:
-            got = render_specular(g, env, cam, resolution, rows=band).data
-            assert got[band].tobytes() == plain_s[band].tobytes(), band
+            outside[band] = False
+            for plain, got in ((plain_s, render_specular(g, env, cam, resolution, rows=band)),
+                               (plain_d, render_diffuse(g, env, resolution, rows=band))):
+                assert got.data[band].tobytes() == plain[band].tobytes(), band
+                assert not got.data[outside].any(), band
+            outside[band] = True
         assert main(["render", str(scene), "--out-prefix", str(tmp_path / "t1")]) == 0
         assert main(["render", str(scene), "--out-prefix", str(tmp_path / "t3"),
                      "--threads", "3"]) == 0
@@ -508,18 +513,32 @@ class TestChunkedRenderers:
                 assert (tmp_path / f"{prefix}_{kind}.pfm").read_bytes() == expected, (
                     prefix, kind)
 
-    @pytest.mark.parametrize("chunk_px", [None, 7])
-    def test_bytes_equal_allocating_renderers(self, chunk_px, monkeypatch):
+    @pytest.mark.parametrize("resolution, chunk_px", [
+        pytest.param((12, 24), None, id="None"), pytest.param((12, 24), 7, id="7"),
+        pytest.param((1, 1), 1, id="1x1-1px"), pytest.param((5, 1), 1, id="5x1-1px")])
+    def test_bytes_equal_allocating_renderers(self, resolution, chunk_px, monkeypatch):
         """The reused workspace, the in-place D and F and the latitude-only
         G2 keep every byte of the allocating renderers, with visibility."""
         cam, g, env = random_scene(13, 11, seed=4)
-        resolution = (12, 24)
         if chunk_px is not None:
-            monkeypatch.setattr(brdf, "CHUNK_NODES", chunk_px * 12 * 24 + 5)
+            monkeypatch.setattr(brdf, "CHUNK_NODES", chunk_px * resolution[0] * resolution[1])
         ref_d, ref_s = allocating_render(g, env, cam, resolution)
         assert ref_s.any() and (ref_s == 0.0).any()
         assert np.array_equal(render_diffuse(g, env, resolution).data, ref_d)
         assert np.array_equal(render_specular(g, env, cam, resolution).data, ref_s)
+
+    @pytest.mark.parametrize("p", [1, 7, 64])
+    @pytest.mark.parametrize("resolution", [(1, 1), (1, 8), (5, 1), (32, 64)],
+                             ids=["1x1", "1x8", "5x1", "32x64"])
+    def test_grid_dot_bytes_equal_broadcast(self, p, resolution):
+        """The node product as an einsum gives each node the broadcast's bits."""
+        rng = np.random.default_rng(p)
+        coef, offset = rng.normal(size=(p, 3)), rng.normal(size=p)
+        grid, _ = brdf._grid_factors(resolution)
+        out = np.empty((p, resolution[0] * resolution[1]))
+        got = brdf._grid_dot(coef, grid, offset, out)
+        assert got is out
+        assert got.tobytes() == allocating_grid_dot(coef, grid, offset).tobytes()
 
     @pytest.mark.parametrize("renderer, buffers", [("diffuse", 2), ("specular", 8)])
     def test_peak_memory_is_a_few_chunk_buffers(self, renderer, buffers):

@@ -242,6 +242,36 @@ class TestFit:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("lobes, rc", [(16, 0), (17, 1), (1000, 1)])
+    def test_refuses_more_parameters_than_residuals(self, lobes, rc, tmp_path, capsys):
+        """A 4x8 map has 96 residuals, so at most 16 lobes of 6 parameters."""
+        write_pfm(tmp_path / "t.pfm", np.ones((4, 8, 3), dtype=np.float32))
+        out = tmp_path / "lobes.txt"
+        assert main(["fit", str(tmp_path / "t.pfm"), "--lobes", str(lobes),
+                     "--max-iterations", "1", "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == (f"error: num_lobes must be <= 16 for a 4x8 map (6 parameters "
+                           f"per lobe, 3 residuals per cell), got {lobes}\n")
+            assert not out.exists()
+        else:
+            assert err == "" and len(out.read_text().splitlines()) == lobes + 1
+
+    def test_refused_fit_allocates_no_normal_matrix(self, tmp_path):
+        """The lobe count is checked before anything of size S is built: the
+        traced peak stays below one (6S, 6S) float64 matrix, here 288 MB."""
+        lobes = 1000
+        write_pfm(tmp_path / "t.pfm", np.ones((4, 8, 3), dtype=np.float32))
+        argv = ["fit", str(tmp_path / "t.pfm"), "--lobes", str(lobes),
+                "--out", str(tmp_path / "lobes.txt")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (6 * lobes) ** 2 * 8, peak
+
     @pytest.mark.parametrize("seed", [1, 3])
     def test_bytes_independent_of_blas_threads(self, seed, tmp_path):
         """fit sums its squared residuals without a BLAS dot product, whose

@@ -195,3 +195,21 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                if arg is not None)
     ]
     assert default_only == []
+
+
+def test_no_contraction_is_handed_to_blas():
+    """No np.einsum in src/ passes optimize=, and none calls np.tensordot.
+
+    Both can hand a contraction to BLAS, whose blocking and thread count
+    change the last bits of a sum, so outputs would depend on the host.
+    """
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "tensordot" or (
+                    name == "einsum" and any(kw.arg in ("optimize", None) for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
