@@ -22,6 +22,7 @@ from . import __version__
 from .pfm import read_pfm, write_pfm
 
 METRIC_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")  # sorted(METRICS), without importing it
+BAND_PX = 1 << 14  # reproject's target pixels per band of whole rows (at least one row)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,6 +181,8 @@ def _cmd_bench_order(args) -> int:
         raise ValueError("--nr-sweep must be comma-separated integers") from None
     if not sweep:
         raise ValueError("--nr-sweep is empty")
+    if args.rays < 1 or min(sweep) < 1:  # bench_orders' own check, before the CSV exists
+        raise ValueError("rays and n_r must be >= 1")
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["order", "n_r", "rays", "g_evals", "seconds"])
@@ -194,6 +197,36 @@ def _cmd_bench_order(args) -> int:
     return 0
 
 
+def _mask_patterns(k: int) -> np.ndarray:
+    """(ceil(K / 8), 256) strings " m m ..." of the mask entries each packed byte holds.
+
+    Byte g, bit b (little bit order) is the entry of view 8g + b; the last
+    byte's strings end the line. A code with bits beyond its byte's views stays None.
+    """
+    table = np.empty(((k + 7) // 8, 256), dtype=object)
+    for g in range(len(table)):
+        bits, end = min(8, k - 8 * g), "\n" if g == len(table) - 1 else ""
+        for code in range(1 << bits):
+            table[g, code] = "".join(f" {code >> b & 1}" for b in range(bits)) + end
+    return table
+
+
+def _mask_lines(rows: slice, codes, patterns) -> str:
+    """m.txt lines "i j 1 m_1 ... m_K" of a band of whole target rows.
+
+    codes (rows, W, ceil(K / 8)) uint8 holds each pixel's view entries,
+    packed as np.packbits(..., axis=-1, bitorder="little") packs them, and
+    patterns is _mask_patterns(K). Each line joins the strings f"{i} ",
+    f"{j} 1" and one pattern per byte, so no pixel is formatted on its own.
+    """
+    n, w, g = codes.shape
+    parts = np.empty((n, w, 2 + g), dtype=object)
+    parts[..., 0] = np.array([f"{i} " for i in range(rows.start, rows.stop)], dtype=object)[:, None]
+    parts[..., 1] = [f"{j} 1" for j in range(w)]
+    parts[..., 2:] = patterns[np.arange(g), codes]
+    return "".join(parts.ravel().tolist())
+
+
 def _cmd_reproject(args) -> int:
     from .multiview import (MultiViewSet, depth_projection_errors, multiview_mask,
                             multiview_weight)
@@ -202,16 +235,23 @@ def _cmd_reproject(args) -> int:
     mvs = MultiViewSet(tuple(scene.cameras), target=args.target)
     h, w = mvs.views[args.target].height, mvs.views[args.target].width
     k = len(mvs)
-    pixels = np.indices((h, w)).transpose(1, 2, 0)  # (h, w, 2) of (row, col)
-    emap = depth_projection_errors(mvs, pixels)
-    wmap = multiview_weight(emap)
-    # one row-major line per pixel: row col mask...
-    table = np.concatenate([pixels, multiview_mask(emap)], axis=-1).reshape(h * w, -1)
-    # K views tiled horizontally into grayscale maps
-    write_pfm(args.out[0], emap.transpose(0, 2, 1).reshape(h, w * k).astype(np.float32))
-    write_pfm(args.out[1], wmap.transpose(0, 2, 1).reshape(h, w * k).astype(np.float32))
-    with open(args.out[2], "w", encoding="ascii") as fh:
-        fh.write("".join(" ".join(map(str, row)) + "\n" for row in table.tolist()))
+    step = max(1, BAND_PX // w)
+    bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
+    # error and weight planes, each K views tiled horizontally into a grayscale map
+    planes = np.empty((2, h, k, w), dtype=np.float32)
+    codes = np.empty((h, w, (k + 7) // 8), dtype=np.uint8)
+    for band in bands:  # every band is computed before any output is opened
+        e = depth_projection_errors(mvs, np.mgrid[band, :w].transpose(1, 2, 0))
+        planes[0, band] = e.transpose(0, 2, 1)
+        planes[1, band] = multiview_weight(e).transpose(0, 2, 1)
+        # the leading target entry is always 1, so only the K view entries are packed
+        codes[band] = np.packbits(multiview_mask(e)[..., 1:], axis=-1, bitorder="little")
+    for path, plane in zip(args.out[:2], planes):
+        write_pfm(path, plane.reshape(h, k * w))
+    patterns = _mask_patterns(k)
+    with open(args.out[2], "w", encoding="ascii") as fh:  # one line per pixel, row-major
+        for band in bands:
+            fh.write(_mask_lines(band, codes[band], patterns))
     return 0
 
 

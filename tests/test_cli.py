@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sglight.cli import METRIC_NAMES, main
+import sglight.cli
+from sglight.cli import METRIC_NAMES, _mask_lines, _mask_patterns, main
 from sglight.envmap import decode_env
 from sglight.multiview import (
     MultiViewSet,
@@ -638,6 +639,17 @@ def test_bench_order_rejects_empty_counts(flags, tmp_path, capsys):
     assert err.startswith("error:") and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("flags", [["--nr-sweep", "8,0"], ["--rays", "0"]])
+def test_bench_order_checks_counts_before_the_csv(flags, tmp_path, capsys):
+    """A count below 1 anywhere in the sweep fails before any n_r is timed:
+    one error line and no CSV, not one with the header and earlier rows."""
+    scene = write_volume_scene(tmp_path)
+    out = tmp_path / "o.csv"
+    assert main(["bench-order", str(scene), "--rays", "16", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rays and n_r must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims,payload", [(b"-1 -1 4", 128), (b"-2 4 4", 0)])
 def test_negative_volume_dimensions_are_clean_error(dims, payload, tmp_path, capsys):
     """Negative header dimensions fail with one error line, no traceback."""
@@ -699,18 +711,22 @@ def test_rejected_input_is_its_one_error_line(argv, replace, message, tmp_path, 
 
 # float64 bytes per pixel of each command's per-pixel inputs and outputs:
 # render reads 8 G-buffer channels and writes 3 RGB images; vsg-trace
-# marches one ray direction per pixel and writes 1 RGB image
-_IO_BYTES_PER_PX = {"render": (8 + 3 * 3) * 8, "vsg-trace": (3 + 3) * 8}
+# marches one ray direction per pixel and writes 1 RGB image; reproject
+# reads K = 3 depth maps, writes 2K error and weight planes and one m.txt
+# line, counted at its length in bytes
+_IO_BYTES_PER_PX = {"render": (8 + 3 * 3) * 8, "vsg-trace": (3 + 3) * 8,
+                    "reproject": (3 + 2 * 3) * 8 + len("95 95 1 0 1 0\n")}
 
 
 @pytest.mark.parametrize("command", sorted(_IO_BYTES_PER_PX))
-def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path):
+def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path, monkeypatch):
     """From a 48^2 to a 96^2 image, the traced peak of one in-process run
     grows by at most twice the float64 inputs and outputs it adds. A
     command holds each per-pixel input and output as float64 (1x), as
     float32 file data (1/2x), and, while write_pfm runs, one float32
     payload copy of one output (at most 1/4x): under 2x in all. Per-pixel
-    work arrays, such as quadrature nodes or ray samples, would break it."""
+    work arrays, such as quadrature nodes, ray samples or a whole view's
+    reprojection errors, would break it."""
     peaks = []
     for side in (48, 96):
         d = tmp_path / str(side)
@@ -718,6 +734,10 @@ def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path):
         if command == "render":  # 512 nodes: a 256-pixel chunk at both sides
             argv = ["render", str(write_wall_scene(d, quadrature=(16, 32), size=side)),
                     "--out-prefix", str(d / "r")]
+        elif command == "reproject":  # bands of 480 pixels at both sides
+            monkeypatch.setattr(sglight.cli, "BAND_PX", 480)
+            argv = ["reproject", str(write_posed_scene(d, size=side)), "--target", "0",
+                    "--out", *(str(d / n) for n in ("e.pfm", "w.pfm", "m.txt"))]
         else:
             argv = ["vsg-trace", str(write_volume_scene(d, size=side)), "--order", "before",
                     "--nr", "16", "--out", str(d / "v.pfm")]
@@ -776,15 +796,47 @@ class TestReproject:
                 for i, j in pixels]
         assert (tmp_path / "m.txt").read_text() == "\n".join(want) + "\n"
 
-    def test_target_depth_hole_aborts(self, tmp_path, capsys):
+    def test_target_depth_hole_aborts(self, tmp_path, capsys, monkeypatch):
+        """A hole in row 4 writes no output, in one band and in one-row
+        bands, where rows 0 to 3 were computed before it."""
         scene_path = write_posed_scene(tmp_path)
         depth = read_pfm(tmp_path / "d0.pfm").copy()
         depth[4, 1] = 0.0
         write_pfm(tmp_path / "d0.pfm", depth)
-        outs = [str(tmp_path / n) for n in ("e.pfm", "w.pfm", "m.txt")]
-        assert main(["reproject", str(scene_path), "--target", "0", "--out", *outs]) == 1
-        assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
-        assert not (tmp_path / "e.pfm").exists()
+        outs = [tmp_path / n for n in ("e.pfm", "w.pfm", "m.txt")]
+        for band_px in (sglight.cli.BAND_PX, 6):
+            monkeypatch.setattr(sglight.cli, "BAND_PX", band_px)
+            rc = main(["reproject", str(scene_path), "--target", "0", "--out", *map(str, outs)])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
+            assert not any(out.exists() for out in outs)
+
+    def test_outputs_independent_of_band_size(self, tmp_path, monkeypatch):
+        """Bands of one row, three rows and the whole 6x6 view write the same bytes."""
+        scene_path = write_posed_scene(tmp_path)
+        written = []
+        for band_px in (6, 18, 36):
+            monkeypatch.setattr(sglight.cli, "BAND_PX", band_px)
+            outs = [tmp_path / f"{band_px}{n}" for n in ("e.pfm", "w.pfm", "m.txt")]
+            assert main(["reproject", str(scene_path), "--target", "0",
+                         "--out", *map(str, outs)]) == 0
+            written.append([out.read_bytes() for out in outs])
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("k", [*range(1, 9), 9, 17])
+    def test_mask_lines_equal_per_row_join(self, k):
+        """The m.txt line builder writes the text of the per-pixel join over
+        the (row, col, mask) table that it replaced, for random masks whose
+        view entries take one byte (K <= 8) or more."""
+        rng = np.random.default_rng(k)
+        rows = slice(10, 14)
+        mask = rng.integers(0, 2, size=(4, 9, k + 1))
+        mask[..., 0] = 1
+        pixels = np.indices((4, 9)).transpose(1, 2, 0) + [rows.start, 0]
+        table = np.concatenate([pixels, mask], axis=-1).reshape(4 * 9, -1)
+        want = "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+        codes = np.packbits(mask[..., 1:], axis=-1, bitorder="little")
+        assert _mask_lines(rows, codes, _mask_patterns(k)) == want
 
     @pytest.mark.parametrize("view", [0, 2], ids=["target", "source"])
     def test_missing_depth_map_is_one_error_line(self, view, tmp_path, capsys):
