@@ -147,11 +147,18 @@ def lobe_values(axis, sharpness, dirs) -> np.ndarray:
     No validation: the axis need not be unit length (aggregated
     compositing). axis (..., 3), sharpness (...) and dirs (..., 3)
     broadcast over their leading axes, so dirs[..., None, :] against
-    (S, 3) axes gives every lobe at every direction, (..., S).
+    (S, 3) axes gives every lobe at every direction, (..., S); sharpness
+    broadcasts into that shape. The dot product sums (d0*a0 + d2*a2) + d1*a1
+    whatever the operands' strides, so one direction and a batch round alike.
     """
-    # unnamed, the dot products take the "- 1" in place: one (..., S) array less
-    return np.exp(np.asarray(sharpness, dtype=np.float64)
-                  * (np.einsum("...k,...k->...", np.asarray(dirs, dtype=np.float64), axis) - 1.0))
+    d, a = np.asarray(dirs, dtype=np.float64), np.asarray(axis, dtype=np.float64)
+    # one named array updated in place: chunk-sized temporaries are too small for numpy to elide
+    g = d[..., 0] * a[..., 0]
+    g += d[..., 2] * a[..., 2]
+    g += d[..., 1] * a[..., 1]
+    g -= 1.0
+    g *= sharpness
+    return np.exp(g, out=g) if g.ndim else np.exp(g)
 
 
 def sg_radiance(intensity, sharpness, axis, dirs) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sg import _as_unit, _frozen, sg_radiance
+from .sg import _as_unit, _frozen, lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
@@ -228,31 +228,24 @@ def _composite_before(alpha, intensity, axis, sharpness, l):
     """Blend of per-sample lobe evaluations at -l, for rays l (R, 3) or one ray (3,).
 
     Channel-major field rows: alpha and sharpness (R, n_r), intensity and
-    axis (3, R, n_r). The lobe is sg.lobe_values' with the dot product in a
-    fixed order (einsum's would follow the strides, and a batch could differ).
-    """
-    v = -l.T[..., None]
-    g = axis[0] * v[0]
-    g += axis[1] * v[1]
-    g += axis[2] * v[2]
-    g -= 1.0
-    g *= sharpness
+    axis (3, R, n_r)."""
     w = compositing_weights(alpha)
-    w *= np.exp(g, out=g)
+    w *= lobe_values(axis.T, sharpness.T, -l).T
     return np.einsum("c...n,...n->...c", intensity, w)
 
 
 def _composite_after(alpha, intensity, axis, sharpness, l):
     """Single lobe evaluation at the weight-blended parameters; fields as in
-    _composite_before. The blended axis is C-ordered for sg_radiance's einsum."""
+    _composite_before."""
     w = compositing_weights(alpha)
-    agg_axis = np.einsum("c...n,...n->...c", axis, w, order="C")  # not renormalized
+    agg_axis = np.einsum("c...n,...n->...c", axis, w)  # not renormalized
     agg_int = np.einsum("c...n,...n->...c", intensity, w)
     return sg_radiance(agg_int, np.einsum("...n,...n->...", sharpness, w), agg_axis, -l)
 
 
 def _nonempty_fields(samples: RaySampleSet, l):
-    """Contiguous channel-major field rows and l; sample_ray's fields are views of such rows."""
+    """Channel-major field rows, copied unless contiguous as sample_ray's are, and l:
+    the sums over samples are einsum calls, whose summation order follows the strides."""
     if len(samples) == 0:
         raise ValueError("cannot composite an empty sample set")
     rows = (samples.intensity.T, samples.axis.T, samples.sharpness)

@@ -752,6 +752,87 @@ def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path, monkeypatc
     assert peaks[1] - peaks[0] <= 2 * _IO_BYTES_PER_PX[command] * added_px, peaks
 
 
+def _simd_groups():
+    """numpy's extension module and the runtime-dispatched SIMD groups above
+    its build's baseline that this host has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return umath, [g for g in umath.__cpu_dispatch__ if umath.__cpu_features__.get(g)]
+
+
+def _fit_numbers(text):
+    """lobes.txt as (lobe rows, loss, the other trailing key=value pairs)."""
+    *rows, tail = text.splitlines()
+    tags = dict(kv.split("=") for kv in tail.lstrip("# ").split())
+    return np.array([[float(v) for v in r.split()] for r in rows]), float(tags.pop("loss")), tags
+
+
+# fit's lobes across SIMD dispatch levels, relative per value: np.exp and
+# np.log round differently with and without AVX-512, and the benchmark's fits
+# moved by at most 7.0e-16 (a few ulps); the bound leaves a factor of 4. A
+# fit with a degenerate lobe moves further (6.3e-12 measured on a 3-lobe fit
+# in which one lobe's sharpness ran to 1.9e7), so the test fits a
+# well-conditioned map, as the benchmark does.
+SIMD_LOBE_RTOL = 3e-15
+
+
+@pytest.mark.skipif(not _simd_groups()[1], reason="numpy dispatches no SIMD group above "
+                                                  "its baseline on this host")
+def test_outputs_across_simd_dispatch_levels(tmp_path):
+    """README promises bytes on one host and one numpy build. Run with numpy's
+    dispatched SIMD groups disabled, render, vsg-trace and reproject write the
+    same float32 files, and fit's lobes and loss move by at most SIMD_LOBE_RTOL
+    relative in the same number of iterations."""
+    umath, groups = _simd_groups()
+    probe = f"import {umath.__name__} as m; print(*(g for g in {groups!r} if m.__cpu_features__[g]))"
+    rng = np.random.default_rng(17)
+    lobes = tuple(SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(1.0, 80.0),
+                                    rng.uniform(0.0, 3.0, size=3)) for _ in range(10))
+    data = decode_env(SgEnvironment(lobes), rows=64, cols=128).data
+    target = tmp_path / "t.pfm"
+    write_pfm(target, (data * rng.uniform(0.9, 1.1, data.shape)).astype(np.float32))
+    wall = write_wall_scene(tmp_path, "sg: 0 0 -1 8 1 0.8 0.6\nsg: 0.6 0 -0.8 30 0.4 0.5 0.9\n",
+                            quadrature=(8, 16), size=8)
+    volume, posed = write_volume_scene(tmp_path, size=8), write_posed_scene(tmp_path)
+    files = {}
+    for level, disabled in (("plain", None), ("baseline", " ".join(groups))):
+        out = tmp_path / level
+        out.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        # the child really runs without the groups
+        seen = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+        assert seen == ([] if disabled else groups)
+        for argv in (
+            ["fit", str(target), "--lobes", "8", "--max-iterations", "100",
+             "--out", str(out / "lobes.txt")],
+            ["render", str(wall), "--out-prefix", str(out / "r")],
+            ["vsg-trace", str(volume), "--order", "before", "--nr", "32",
+             "--out", str(out / "v_before.pfm")],
+            ["vsg-trace", str(volume), "--order", "after", "--nr", "32",
+             "--out", str(out / "v_after.pfm")],
+            ["reproject", str(posed), "--target", "0",
+             "--out", *(str(out / n) for n in ("e.pfm", "w.pfm", "m.txt"))],
+        ):
+            subprocess.run([sys.executable, "-m", "sglight", *argv], env=env, check=True)
+        files[level] = {p.name: p.read_bytes() for p in out.iterdir()}
+    plain, baseline = files["plain"], files["baseline"]
+    assert sorted(plain) == sorted(baseline) and len(plain) == 9
+    for name in plain:
+        if name != "lobes.txt":
+            assert plain[name] == baseline[name], name
+    (lobes_a, loss_a, tags_a), (lobes_b, loss_b, tags_b) = (
+        _fit_numbers(f["lobes.txt"].decode()) for f in (plain, baseline))
+    assert tags_a == tags_b  # iterations and converged
+    assert abs(loss_a - loss_b) <= SIMD_LOBE_RTOL * loss_a
+    assert np.all(np.abs(lobes_a - lobes_b) <= SIMD_LOBE_RTOL * np.abs(lobes_a)), (lobes_a, lobes_b)
+
+
 class TestReproject:
     def test_outputs_match_library(self, tmp_path):
         scene_path = write_pair_scene(tmp_path, offset=0.3)

@@ -9,6 +9,8 @@ from sglight.sg import (
     eval_mixture,
     eval_sg,
     integrate_sg_sphere,
+    lobe_values,
+    normalize,
     sg_radiance,
     sphere_grid,
     spherical_to_unit,
@@ -203,3 +205,56 @@ class TestMixture:
             eval_mixture(plain, d, pixel=0)
         with pytest.raises(ValueError):
             eval_mixture(with_vis, d)
+
+
+class TestLobeValues:
+    """lobe_values sums its dot product as (d0*a0 + d2*a2) + d1*a1 whatever
+    the operands' memory layout, so a batch and one direction round alike."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(31)
+        return (normalize(rng.normal(size=(128, 3))), normalize(rng.normal(size=(5, 3))),
+                rng.uniform(0.5, 60.0, size=5))
+
+    @staticmethod
+    def fixed_order(axis, sharpness, dirs):
+        """The exponent summed in that order in Python floats, then np.exp."""
+        shape = np.broadcast_shapes(np.shape(dirs)[:-1], np.shape(axis)[:-1], np.shape(sharpness))
+        d = np.broadcast_to(dirs, shape + (3,))
+        a = np.broadcast_to(axis, shape + (3,))
+        s = np.broadcast_to(sharpness, shape)
+        x = np.empty(shape)
+        for i in np.ndindex(shape):
+            (d0, d1, d2), (a0, a1, a2) = d[i].tolist(), a[i].tolist()
+            x[i] = float(s[i]) * ((d0 * a0 + d2 * a2) + d1 * a1 - 1.0)
+        return np.exp(x)
+
+    def test_bits_independent_of_layout(self):
+        """Fortran-ordered and strided copies, and one direction at a time,
+        give the C-ordered batch's bits."""
+        dirs, axes, sharp = self.inputs()
+        ref = lobe_values(axes, sharp, dirs[:, None, :])
+        assert ref.shape == (128, 5)
+        for copy in (np.asfortranarray, lambda x: np.repeat(x, 2, axis=0)[::2]):
+            assert np.array_equal(lobe_values(copy(axes), sharp, copy(dirs)[:, None, :]), ref)
+        for i, d in enumerate(dirs):
+            assert np.array_equal(lobe_values(axes, sharp, d), ref[i])
+
+    def test_shapes_equal_fixed_order(self):
+        """Scalar, (N,), (N, S) and broadcast-sharpness calls equal the
+        fixed-order sum bit for bit; one direction gives a numpy scalar."""
+        dirs, axes, sharp = self.inputs()
+        cases = [
+            (axes[0], 7.5, dirs[0]),
+            (axes[0], 7.5, dirs),
+            (axes, sharp, dirs[:, None, :]),
+            (axes, 7.5, dirs[:, None, :]),
+            (axes, np.linspace(0.5, 60.0, 128)[:, None], dirs[:, None, :]),
+        ]
+        for axis, s, d in cases:
+            got = lobe_values(axis, s, d)
+            want = self.fixed_order(axis, s, d)
+            assert np.shape(got) == want.shape
+            assert np.array_equal(got, want)
+        assert isinstance(lobe_values(axes[0], 7.5, dirs[0]), np.float64)
