@@ -139,20 +139,20 @@ def ray_box_intersect(bbox_min, bbox_max, origins, dirs):
     return t_near, hi, hit
 
 
-def _interp_records(vol: VsgVolume, points, out) -> None:
+def _interp_records(vol: VsgVolume, points, out, corner) -> None:
     """Fill out (8, N) with the 8 channels interpolated at points (3, N).
 
     Trilinear over voxel centers (edge clamped). The axis rows are
     renormalized; a vanishing interpolated axis falls back to +z. Works
     through CHUNK_POINTS points at a time, channel-major throughout: (3, n)
-    coordinate rows (96 kB each at n = CHUNK_POINTS) and one (8, n) corner
-    buffer (256 kB) per call, into which each corner is gathered from
-    vol.lattice's (8, X*Y*Z) grid with mode="clip" (indices are in range by
-    construction; the default mode buffers out), weighted and added to the
-    chunk's zeroed columns of out. Scratch stays under 1 MB whatever N is.
+    coordinate rows (96 kB each at n = CHUNK_POINTS) per chunk, and the
+    caller's flat corner buffer of at least 8 * min(CHUNK_POINTS, N) floats
+    (256 KiB), into which each corner is gathered from vol.lattice's
+    (8, X*Y*Z) grid with mode="clip" (indices are in range by construction;
+    the default mode buffers out), weighted and added to the chunk's zeroed
+    columns of out. The scratch allocated here stays under 1 MB whatever N is.
     """
     grid, bbox_min, cell, g_max, i_max, stride, offsets = vol.lattice
-    corner = np.empty(8 * min(CHUNK_POINTS, points.shape[1]))
     for lo in range(0, points.shape[1], CHUNK_POINTS):
         acc = out[:, lo:lo + CHUNK_POINTS]
         c = corner[:acc.size].reshape(8, -1)
@@ -182,17 +182,35 @@ def _interp_records(vol: VsgVolume, points, out) -> None:
             acc[4:7, ~ok] = ((0.0,), (0.0,), (1.0,))
 
 
-def _march(vol: VsgVolume, origins, dirs, t_near, t_far, rec):
+def _workspace(shape) -> tuple:
+    """_march's scratch for records of shape (8, *shape), shape (R, n_r) or
+    one ray's (n_r,): distances of that shape (8 bytes a sample), points
+    (3, *shape) (24 bytes a sample) and _interp_records' flat corner buffer
+    of 8 * min(CHUNK_POINTS, samples) floats (256 KiB from CHUNK_POINTS
+    samples on); 768 KiB in all at BENCH_SAMPLES samples."""
+    t = np.empty(shape)
+    return t, np.empty((3, *shape)), np.empty(8 * min(CHUNK_POINTS, t.size))
+
+
+def _march(vol: VsgVolume, origins, dirs, t_near, t_far, workspace, rec):
     """Records at the midpoints of n_r equal segments of [t_near, t_far] along each ray.
 
     The one sampler behind sample_ray and bench_orders: rays (R, 3), or one
-    ray (3,), and their box overlap (callers drop misses) give distances
-    (R, n_r) and fill the caller's channel-major records rec, (8, R, n_r).
+    ray (3,), and their box overlap (callers drop misses) fill the caller's
+    channel-major records rec, (8, R, n_r). Distances t (R, n_r) and points
+    (3, R, n_r) are computed in place into the caller's _workspace
+    (32 bytes a sample), which also holds _interp_records' corner buffer;
+    only that kernel's per-chunk coordinate rows are allocated here.
+    Returns t and rec.
     """
-    n_r = rec.shape[-1]
-    t = t_near[..., None] + (np.arange(n_r) + 0.5) * (t_far - t_near)[..., None] / n_r
-    points = origins.T[..., None] + t * dirs.T[..., None]
-    _interp_records(vol, points.reshape(3, -1), rec.reshape(8, -1))
+    t, points, corner = workspace
+    n_r = t.shape[-1]
+    np.multiply(np.arange(0.5, n_r), (t_far - t_near)[..., None], out=t)
+    t /= n_r
+    t += t_near[..., None]
+    np.multiply(t, dirs.T[..., None], out=points)
+    points += origins.T[..., None]
+    _interp_records(vol, points.reshape(3, -1), rec.reshape(8, -1), corner)
     return t, rec
 
 
@@ -210,17 +228,23 @@ def sample_ray(vol: VsgVolume, origin, direction, n_r: int = 128) -> RaySampleSe
         raise ValueError("origin and direction must be 3-vectors")
     direction = _as_unit(direction)
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
-    t, rec = (_march(vol, origin, direction, t_near, t_far, np.empty((8, n_r))) if hit
-              else (np.zeros(0), np.zeros((8, 0))))
+    t, rec = (_march(vol, origin, direction, t_near, t_far, _workspace((n_r,)), np.empty((8, n_r)))
+              if hit else (np.zeros(0), np.zeros((8, 0))))
     return RaySampleSet(t, rec[0], rec[1:4].T, rec[4:7].T, rec[7])
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
-    """w_n = alpha_n * prod_{m<n}(1 - alpha_m) along the last axis."""
+    """w_n = alpha_n * prod_{m<n}(1 - alpha_m) along the last axis.
+
+    Each ray's product runs left to right from 1, whatever alpha's strides."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    w = np.ones(alpha.shape)
-    np.subtract(1.0, alpha[..., :-1], out=w[..., 1:])
-    np.multiply.accumulate(w[..., 1:], axis=-1, out=w[..., 1:])
+    # 1 - alpha_m in one contiguous pass, one element on, lands at w[..., m + 1]
+    # (a row's last value at the next row's first, which the 1 overwrites)
+    buf = np.empty(alpha.size + 1)
+    np.subtract(1.0, alpha, out=buf[1:].reshape(alpha.shape))
+    w = buf[:-1].reshape(alpha.shape)
+    w[..., :1] = 1.0
+    np.multiply.accumulate(w, axis=-1, out=w)
     return np.multiply(w, alpha, out=w)
 
 
@@ -280,9 +304,12 @@ def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int =
     """Time both compositing orders on identical sampled records.
 
     Rays are drawn, sampled and composited max(1, BENCH_SAMPLES // n_r)
-    at a time in one record buffer per call, of BENCH_SAMPLES * 64 bytes
-    (1 MiB, reached at n_r = 128) at most however many rays are timed, or
-    one ray's n_r * 64 bytes when n_r exceeds BENCH_SAMPLES. Each chunk is
+    at a time in one record buffer and one _workspace per call, allocated
+    once and reused by every chunk: at n_r = 128, 1 MiB of records plus
+    768 KiB of scratch (distances, points and the corner buffer), and at
+    most that however many rays are timed, or one ray's n_r * 64 bytes of
+    records and n_r * 32 bytes of distances and points (plus the corner
+    buffer) when n_r exceeds BENCH_SAMPLES. Each chunk is
     sampled and composited as sample_ray's one ray is. Sampling is
     excluded from the timings; each run composites the same per-chunk
     records in both orders. Returns the exact lobe-evaluation counts
@@ -296,12 +323,14 @@ def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int =
     t_after = np.zeros(BENCH_RUNS)
     chunk = min(max(1, BENCH_SAMPLES // n_r), rays)
     buf = np.empty(8 * chunk * n_r)
+    t, points, corner = _workspace((chunk, n_r))
     done = 0
     while done < rays:
         n = min(chunk, rays - done)
         origins, dirs = _random_rays(vol, n, rng)
         t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
-        _, rec = _march(vol, origins, dirs, t_near, t_far, buf[:8 * n * n_r].reshape(8, n, n_r))
+        _, rec = _march(vol, origins, dirs, t_near, t_far, (t[:n], points[:, :n], corner),
+                        buf[:8 * n * n_r].reshape(8, n, n_r))
         fields = rec[0], rec[1:4], rec[4:7], rec[7]
         for r in range(BENCH_RUNS):
             t0 = time.perf_counter()

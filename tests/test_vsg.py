@@ -133,7 +133,8 @@ class TestSampling:
             bbox_min=[-1.0, -1.0, -1.0], bbox_max=[1.0, 1.0, 1.0],
         )
         rec = np.empty((8, 2))
-        vsg._interp_records(vol, np.array([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]]).T, rec)
+        vsg._interp_records(vol, np.array([[0.0, 0.0, 0.0], [-0.25, 0.0, 0.0]]).T, rec,
+                            np.empty(16))
         assert np.array_equal(rec.T, [[0.5, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 4.0],
                                     [0.5, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 4.0]])
 
@@ -201,7 +202,8 @@ class TestChunkedSampling:
         vol = random_volume(rng, dims=dims)
         origins, dirs = vsg._random_rays(vol, 40, rng)
         t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
-        t, batch = vsg._march(vol, origins, dirs, t_near, t_far, np.empty((8, 40, n_r)))
+        t, batch = vsg._march(vol, origins, dirs, t_near, t_far, vsg._workspace((40, n_r)),
+                              np.empty((8, 40, n_r)))
         for i in range(40):
             s = sample_ray(vol, origins[i], dirs[i], n_r=n_r)
             assert np.array_equal(t[i], s.t)
@@ -242,7 +244,7 @@ class TestChunkedSampling:
                                       indexing="ij"), axis=-1).reshape(-1, 3)
         rec = np.empty((8, len(points)))
         for v in (vol, vanishing):
-            vsg._interp_records(v, points.T, rec)
+            vsg._interp_records(v, points.T, rec, np.empty(8 * len(points)))
             assert np.array_equal(rec.T, reference_records(v, points))
         # the vanishing volume falls back to +z, and renormalizes too where
         # it has more than one voxel
@@ -267,6 +269,30 @@ class TestCompositing:
         w = compositing_weights(alpha)
         total = w.sum(axis=-1) + np.prod(1.0 - alpha, axis=-1)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+    @staticmethod
+    def left_to_right(alpha):
+        """Python-float weights, each ray's transmittance multiplied from 1."""
+        w = []
+        for ray in alpha.reshape(-1, alpha.shape[-1]).tolist():
+            p = 1.0
+            for a in ray:
+                w.append(p * a)
+                p *= 1.0 - a
+        return np.array(w).reshape(alpha.shape)
+
+    def test_weight_bits_at_any_shape_and_layout(self):
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.0, 0.3, size=(128, 128))
+        cases = [a, np.repeat(a, 2, -1)[..., ::2], a[5],
+                 rng.uniform(0.0, 1.0, size=(2, 3, 37))]
+        for alpha in cases:
+            assert np.array_equal(compositing_weights(alpha), self.left_to_right(alpha))
+
+    @pytest.mark.parametrize("shape", [(0,), (4, 0)])
+    def test_empty_weights(self, shape):
+        w = compositing_weights(np.zeros(shape))
+        assert w.shape == shape
 
     def test_single_opaque_sample_orders_agree(self):
         """One sample with alpha = 1 makes both orders the bare lobe."""
@@ -342,7 +368,8 @@ class TestBatchedCompositing:
     def batch(vol, rays, n_r, rng):
         origins, dirs = vsg._random_rays(vol, rays, rng)
         t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
-        _, rec = vsg._march(vol, origins, dirs, t_near, t_far, np.empty((8, rays, n_r)))
+        _, rec = vsg._march(vol, origins, dirs, t_near, t_far, vsg._workspace((rays, n_r)),
+                            np.empty((8, rays, n_r)))
         return origins, dirs, (rec[0], rec[1:4], rec[4:7], rec[7])
 
     @pytest.mark.parametrize("n_r", [1, 37, 128])
@@ -380,6 +407,31 @@ class TestBatchedCompositing:
                 sample_ray(vol, origins[i], dirs[i], n_r=n_r), dirs[i].tolist())
             assert np.all(np.abs(before[i] - exact_before) <= 2e-14 * exact_before)
             assert np.all(np.abs(after[i] - exact_after) <= 1e-13 * exact_after)
+
+
+class TestWorkspace:
+    def test_march_peak_independent_of_samples(self):
+        """With its workspace and records allocated by the caller, _march
+        computes distances and points in place, and only _interp_records'
+        per-chunk coordinate rows are allocated, so its traced peak is the
+        same at 2^14 and 2^16 samples. An untraced call first makes the
+        first use's one-off allocations."""
+        rng = np.random.default_rng(16)
+        vol = random_volume(rng, dims=(16, 16, 16))
+        peaks = []
+        for rays in (128, 512):
+            origins, dirs = vsg._random_rays(vol, rays, rng)
+            t_near, t_far, _ = ray_box_intersect(vol.bbox_min, vol.bbox_max, origins, dirs)
+            args = origins, dirs, t_near, t_far, vsg._workspace((rays, 128))
+            rec = np.empty((8, rays, 128))
+            vsg._march(vol, *args, rec)
+            tracemalloc.start()
+            try:
+                vsg._march(vol, *args, rec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] == peaks[1]
 
 
 class TestBench:
