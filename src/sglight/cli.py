@@ -152,19 +152,33 @@ def _cmd_render(args) -> int:
 
 def _cmd_vsg_trace(args) -> int:
     from .scene import parse_scene
-    from .vsg import composite_sg_after, composite_sg_before, sample_ray
+    from .vsg import CHUNK_POINTS, composite_rays, sample_ray
     scene = parse_scene(args.scene)
     cam = _require(scene, "camera")
     vol = _require(scene, "volume")
-    composite = composite_sg_before if args.order == "before" else composite_sg_after
-    rays = cam.pixel_rays()
+    grid = cam.pixel_rays()
+    n_r = args.nr
+    if n_r < 1:  # sample_ray's own check, before the chunk arithmetic
+        raise ValueError("n_r must be >= 1")
+    # rays are sampled one at a time and composited a chunk at a time from one
+    # (8, chunk, n_r) record buffer: 256 KiB up to CHUNK_POINTS samples a ray
+    rays = grid.reshape(-1, 3)
     img = np.zeros_like(rays)
+    chunk = max(1, CHUNK_POINTS // n_r)
+    rec = np.empty((8, chunk, n_r))
     origin = cam.center
-    for i, j in np.ndindex(rays.shape[:2]):
-        samples = sample_ray(vol, origin, rays[i, j], args.nr)
-        if len(samples):
-            img[i, j] = composite(samples, rays[i, j])
-    write_pfm(args.out, img.astype(np.float32))
+    for lo in range(0, len(rays), chunk):
+        hits = []
+        for p in range(lo, min(lo + chunk, len(rays))):
+            s = sample_ray(vol, origin, rays[p], n_r)
+            if len(s):
+                k = len(hits)
+                rec[0, k], rec[1:4, k], rec[4:7, k], rec[7, k] = \
+                    s.alpha, s.intensity.T, s.axis.T, s.sharpness
+                hits.append(p)
+        if hits:  # misses stay 0
+            img[hits] = composite_rays(rec[:, :len(hits)], rays[hits], args.order)
+    write_pfm(args.out, img.reshape(grid.shape).astype(np.float32))
     return 0
 
 

@@ -267,6 +267,27 @@ def _composite_after(alpha, intensity, axis, sharpness, l):
     return sg_radiance(agg_int, np.einsum("...n,...n->...", sharpness, w), agg_axis, -l)
 
 
+def composite_rays(records, dirs, order: str) -> np.ndarray:
+    """RGB (R, 3) of rays dirs (R, 3) from their channel-major records
+    (8, R, n_r), laid out as _march fills them, in order "before" or "after".
+
+    Each row has the bits composite_sg_before / composite_sg_after give that
+    ray's sample_ray set. Nothing is copied: each channel's (R, n_r) rows
+    need only be contiguous along the samples, as the first R rows of a
+    larger (8, chunk, n_r) buffer are (the sums over samples follow the strides).
+    """
+    kernel = {"before": _composite_before, "after": _composite_after}.get(order)
+    if kernel is None:
+        raise ValueError(f"order must be 'before' or 'after', got {order!r}")
+    records = np.asarray(records, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    if records.ndim != 3 or records.shape[0] != 8 or records.shape[2] < 1 \
+            or dirs.shape != (records.shape[1], 3):
+        raise ValueError(f"records must be (8, R, n_r) with n_r >= 1 and dirs (R, 3), "
+                         f"got {records.shape} and {dirs.shape}")
+    return kernel(records[0], records[1:4], records[4:7], records[7], dirs)
+
+
 def _nonempty_fields(samples: RaySampleSet, l):
     """Channel-major field rows, copied unless contiguous as sample_ray's are, and l:
     the sums over samples are einsum calls, whose summation order follows the strides."""

@@ -22,7 +22,7 @@ from sglight.multiview import (
 from sglight.pfm import read_pfm, write_pfm
 from sglight.scene import parse_scene
 from sglight.sg import SgEnvironment, SphericalGaussian, normalize
-from sglight.vsg import VsgVolume, save_vsg
+from sglight.vsg import CHUNK_POINTS, VsgVolume, save_vsg
 
 from test_cli_fuzz import (
     SCENE,
@@ -447,7 +447,7 @@ def test_specular_checks_fail_before_diffuse_shading(case, message, threads, tmp
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys):
-    """numpy refuses the 7 PiB sample array at once, so no memory is touched."""
+    """numpy refuses the 57 PiB (8, 1, n_r) record buffer at once, so no memory is touched."""
     scene = write_volume_scene(tmp_path)
     rc = main(["vsg-trace", str(scene), "--order", "before", "--nr", "1000000000000000",
                "--out", str(tmp_path / "o.pfm")])
@@ -527,6 +527,31 @@ class TestVsgTrace:
                     want[i, j] = composite_sg_before(samples, ray)
         assert np.any(want > 0.0)
         assert np.array_equal(read_pfm(tmp_path / "b.pfm"), want.astype(np.float32))
+
+    @pytest.mark.parametrize("order", ["before", "after"])
+    @pytest.mark.parametrize("n_r", [37, CHUNK_POINTS + 1])
+    def test_pfm_equals_per_pixel_reference(self, tmp_path, n_r, order):
+        """The image, composited CHUNK_POINTS // n_r rays at a time (two
+        chunks, the second partial, at n_r 37; one ray a chunk past
+        CHUNK_POINTS), has the bytes of compositing each pixel's sample_ray
+        set on its own; the 12 x 12 view's outer pixels miss the volume."""
+        from sglight.vsg import composite_sg_after, composite_sg_before, sample_ray
+        scene = write_volume_scene(tmp_path, size=12)
+        out = tmp_path / "v.pfm"
+        assert main(["vsg-trace", str(scene), "--order", order, "--nr", str(n_r),
+                     "--out", str(out)]) == 0
+        parsed = parse_scene(scene)
+        composite = composite_sg_before if order == "before" else composite_sg_after
+        rays = parsed.cameras[0].pixel_rays()
+        want = np.zeros_like(rays)
+        for i, j in np.ndindex(rays.shape[:2]):
+            samples = sample_ray(parsed.volume, parsed.cameras[0].center, rays[i, j], n_r)
+            if len(samples):
+                want[i, j] = composite(samples, rays[i, j])
+        hit = np.any(want > 0.0, axis=-1)
+        assert 0 < hit.sum() < hit.size
+        write_pfm(tmp_path / "want.pfm", want.astype(np.float32))
+        assert out.read_bytes() == (tmp_path / "want.pfm").read_bytes()
 
     def test_malformed_resolution_is_a_parse_error(self, tmp_path, capsys):
         """resolution: is not read, but it is still checked, on its line."""

@@ -372,7 +372,7 @@ def argument_vectors(draw):
 @settings(FUZZ, max_examples=100)
 @given(argv=argument_vectors())
 @example(argv=["vsg-trace", "{d}/scene.txt", "--order", "before", "--nr", "1000000000000000",
-               "--out", "{d}/v.pfm"])  # numpy refuses the 7 PiB sample array at once
+               "--out", "{d}/v.pfm"])  # numpy refuses the 57 PiB record buffer at once
 def test_fuzzed_argument_vectors(argv):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:

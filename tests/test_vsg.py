@@ -12,6 +12,7 @@ from sglight.vsg import (
     RaySampleSet,
     VsgVolume,
     bench_orders,
+    composite_rays,
     composite_sg_after,
     composite_sg_before,
     compositing_weights,
@@ -407,6 +408,45 @@ class TestBatchedCompositing:
                 sample_ray(vol, origins[i], dirs[i], n_r=n_r), dirs[i].tolist())
             assert np.all(np.abs(before[i] - exact_before) <= 2e-14 * exact_before)
             assert np.all(np.abs(after[i] - exact_after) <= 1e-13 * exact_after)
+
+
+class TestCompositeRays:
+    """composite_rays on the first rows of a larger record buffer, filled as
+    vsg-trace fills it from sample_ray sets, equals composite_sg_before and
+    composite_sg_after on each set bit for bit."""
+
+    @pytest.mark.parametrize("order", ["before", "after"])
+    @pytest.mark.parametrize("n_r", [1, 37, 128, vsg.CHUNK_POINTS + 1])
+    def test_partial_chunk_equals_per_ray(self, n_r, order):
+        rng = np.random.default_rng(29)
+        vol = random_volume(rng, dims=(5, 4, 3))
+        rays = 5 if n_r <= 128 else 2
+        origins, dirs = vsg._random_rays(vol, rays, rng)
+        buf = np.full((8, rays + 3, n_r), np.nan)  # rows past the chunk are not read
+        sets = [sample_ray(vol, origins[k], dirs[k], n_r=n_r) for k in range(rays)]
+        for k, s in enumerate(sets):
+            buf[0, k], buf[1:4, k], buf[4:7, k], buf[7, k] = \
+                s.alpha, s.intensity.T, s.axis.T, s.sharpness
+        got = composite_rays(buf[:, :rays], dirs, order)
+        one = composite_sg_before if order == "before" else composite_sg_after
+        assert got.shape == (rays, 3)
+        for k, s in enumerate(sets):
+            assert np.array_equal(got[k], one(s, dirs[k]))
+
+    @pytest.mark.parametrize("records, dirs, order", [
+        ((8, 2, 4), (2, 3), "sideways"),
+        ((8, 2, 4), (2, 3), None),
+        ((7, 2, 4), (2, 3), "before"),
+        ((8, 8), (8, 3), "before"),
+        ((8, 2, 0), (2, 3), "after"),
+        ((8, 2, 4), (3, 3), "after"),
+        ((8, 2, 4), (2, 2), "before"),
+        ((8, 1, 4), (3,), "after"),
+    ], ids=["order", "no-order", "channels", "2d-records", "no-samples", "ray-count",
+            "dir-width", "one-dir"])
+    def test_bad_input_is_one_value_error(self, records, dirs, order):
+        with pytest.raises(ValueError):
+            composite_rays(np.full(records, 0.5), np.full(dirs, 0.5), order)
 
 
 class TestWorkspace:
