@@ -273,33 +273,31 @@ def _view_dirs(g: GBuffer, cam, band=slice(None)):
 
 
 def _band_pixels(shape, rows):
-    """Flat indices of the pixels in a slice of image rows (every row for None)."""
+    """Flat indices of the pixels in a slice of image rows, and the band's image shape."""
     h, w = shape
-    return np.arange(h * w).reshape(h, w)[slice(None) if rows is None else rows].reshape(-1)
+    band = np.arange(h)[rows, None] * w + np.arange(w)
+    return band.reshape(-1), band.shape + (3,)
 
 
 def render_diffuse(
     g: GBuffer,
     env: SgEnvironment,
     resolution=(32, 64),
-    rows: Optional[slice] = None,
+    rows: slice = slice(None),
 ) -> HdrImage:
     """Diffuse image I_d = (A / pi) * S per pixel.
 
-    rows, a slice of image rows, shades only that band, as in
-    render_specular: its rows get the bytes of a full render and all
-    other rows are 0.
+    rows, a slice of image rows, shades only that band and returns its
+    (rows, W, 3) image, with the bytes of those rows of a full render; the
+    default is every row. Memory is one chunk buffer and the band's image.
     """
-    h, w = g.shape
-    pixels = _band_pixels(g.shape, rows)
+    pixels, shape = _band_pixels(g.shape, rows)
     grid, wq = _grid_factors(resolution)
     wz = wq * np.repeat(grid[1], grid[2].size)
     s = _shade(env, g, pixels, grid, lambda rows, frame, bufs: wz)
     with np.errstate(invalid="ignore"):  # albedo 0 times an overflowed s; HdrImage rejects it
         s *= g.albedo.reshape(-1, 3)[pixels] / np.pi
-    img = np.zeros((h * w, 3))
-    img[pixels] = s
-    return HdrImage(img.reshape(h, w, 3))
+    return HdrImage(s.reshape(shape))
 
 
 def render_specular(
@@ -307,21 +305,21 @@ def render_specular(
     env: SgEnvironment,
     cam,
     resolution=(32, 64),
-    rows: Optional[slice] = None,
+    rows: slice = slice(None),
 ) -> HdrImage:
     """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
 
     cam provides the view ray per pixel (its pixel_rays) and must match
-    the G-buffer's size. Backfacing pixels (n.v <= 0)
-    render black. rows, a slice of image rows, shades only that band: its
-    rows get the bytes of a full render and all other rows are 0 (the
-    threaded CLI path).
+    the G-buffer's size. Backfacing pixels (n.v <= 0) render black. rows,
+    a slice of image rows, shades only that band and returns its
+    (rows, W, 3) image, with the bytes of those rows of a full render (the
+    threaded CLI path); the default is every row. Memory is five chunk
+    buffers and the band's image.
     """
     if np.any(g.roughness <= 0.0):
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
-    h, w = g.shape
-    pixels = _band_pixels(g.shape, rows)
-    v = _view_dirs(g, cam, slice(None) if rows is None else rows).reshape(-1, 3)
+    pixels, shape = _band_pixels(g.shape, rows)
+    v = _view_dirs(g, cam, rows).reshape(-1, 3)
     cos_v = np.einsum("pk,pk->p", g.normal.reshape(-1, 3)[pixels], v)
     front = cos_v > 0.0  # backfacing pixels stay black
     pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
@@ -359,9 +357,9 @@ def render_specular(
         k /= 4.0 * cv
         return np.multiply(k, wq, out=k)
 
-    img = np.zeros((h * w, 3))
-    img[pixels] = _shade(env, g, pixels, grid, kernel, buffers=5)
-    return HdrImage(img.reshape(h, w, 3))
+    img = np.zeros(shape)
+    img.reshape(-1, 3)[front] = _shade(env, g, pixels, grid, kernel, buffers=5)
+    return HdrImage(img)
 
 
 def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> list:

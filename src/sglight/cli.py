@@ -131,15 +131,13 @@ def _cmd_render(args) -> int:
         return render_diffuse(g, env, resolution=res, rows=band).data, specular
 
     if threads == 1:
-        diffuse, specular = shade(None)
+        diffuse, specular = shade(slice(None))
     else:
         from concurrent.futures import ThreadPoolExecutor
         step = max(1, h // threads)
         bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
-        diffuse, specular = np.zeros(g.albedo.shape), np.zeros(g.albedo.shape)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for band, (d, s) in zip(bands, pool.map(shade, bands)):
-                diffuse[band], specular[band] = d[band], s[band]
+        with ThreadPoolExecutor(max_workers=threads) as pool:  # each band returns its rows
+            diffuse, specular = map(np.concatenate, zip(*pool.map(shade, bands)))
     with np.errstate(over="ignore"):  # overflow is reported below
         images = {kind: img.astype(np.float32) for kind, img in
                   (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}

@@ -308,20 +308,24 @@ class TestRender:
         np.testing.assert_allclose(full, diffuse + specular, rtol=1e-6)
 
     def test_threads_bit_identical(self, tmp_path):
-        """The row-banded thread pool must not change a single byte."""
-        scene = write_wall_scene(
-            tmp_path, lighting="sg: 0.2 -0.3 0.9 7.0 1.0 0.7 0.4\n", size=5
-        )
-        rc = main(["render", str(scene), "--out-prefix",
-                   str(tmp_path / "a")])
-        assert rc == 0
-        rc = main(["render", str(scene), "--out-prefix",
-                   str(tmp_path / "b"), "--threads", "3"])
-        assert rc == 0
-        for kind in ("diffuse", "specular", "full"):
-            a = (tmp_path / f"a_{kind}.pfm").read_bytes()
-            b = (tmp_path / f"b_{kind}.pfm").read_bytes()
-            assert a == b, kind
+        """The row-banded thread pool must not change a single byte, also
+        with more threads than rows (6 threads on 4 rows: a row per band)."""
+        for size, threads in ((5, "3"), (4, "6")):
+            d = tmp_path / str(size)
+            d.mkdir()
+            scene = write_wall_scene(
+                d, lighting="sg: 0.2 -0.3 0.9 7.0 1.0 0.7 0.4\n", size=size
+            )
+            rc = main(["render", str(scene), "--out-prefix",
+                       str(d / "a")])
+            assert rc == 0
+            rc = main(["render", str(scene), "--out-prefix",
+                       str(d / "b"), "--threads", threads])
+            assert rc == 0
+            for kind in ("diffuse", "specular", "full"):
+                a = (d / f"a_{kind}.pfm").read_bytes()
+                b = (d / f"b_{kind}.pfm").read_bytes()
+                assert a == b, (size, kind)
 
     def test_camera_size_mismatch_fails(self, tmp_path, capsys):
         """A 4x4 G-buffer seen by a 5x5 camera is an error, not a render."""
@@ -775,6 +779,34 @@ def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path, monkeypatc
             tracemalloc.stop()
     added_px = 96**2 - 48**2
     assert peaks[1] - peaks[0] <= 2 * _IO_BYTES_PER_PX[command] * added_px, peaks
+
+
+def test_render_threads_peak_grows_by_one_band_and_workspace_per_thread(tmp_path, monkeypatch):
+    """From --threads 1 to 2 and 4, the traced peak of render on a 128^2
+    image grows by at most one band's diffuse and specular images and one
+    chunk workspace per extra thread. The workspace is eight chunk buffers:
+    specular's five and three for the chunk's frame and node products, as in
+    test_brdf's chunk-buffer budget. 256-pixel chunks keep it at 512 KiB, so
+    a band thread holding a full-size 384 KiB image breaks the bound."""
+    size, chunk_nodes = 128, 1 << 13
+    monkeypatch.setattr(sglight.brdf, "CHUNK_NODES", chunk_nodes)  # 256 px of 32 nodes
+    scene = write_wall_scene(tmp_path, lighting="sg: 0.2 -0.3 0.9 7.0 1.0 0.7 0.4\n",
+                             quadrature=(4, 8), size=size)
+    peaks = {}
+    for threads in (1, 2, 4):
+        argv = ["render", str(scene), "--out-prefix", str(tmp_path / "r"),
+                "--threads", str(threads)]
+        assert main(argv) == 0  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for threads in (2, 4):
+        band_images = 2 * (size // threads) * size * 3 * 8
+        per_thread = 8 * chunk_nodes * 8 + band_images
+        assert peaks[threads] - peaks[1] <= (threads - 1) * per_thread, peaks
 
 
 def _simd_groups():
