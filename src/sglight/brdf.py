@@ -285,12 +285,7 @@ def render_diffuse(
     resolution=(32, 64),
     rows: slice = slice(None),
 ) -> HdrImage:
-    """Diffuse image I_d = (A / pi) * S per pixel.
-
-    rows, a slice of image rows, shades only that band and returns its
-    (rows, W, 3) image, with the bytes of those rows of a full render; the
-    default is every row. Memory is one chunk buffer and the band's image.
-    """
+    """Diffuse image I_d = (A / pi) * S per pixel of the band rows (see render)."""
     pixels, shape = _band_pixels(g.shape, rows)
     grid, wq = _grid_factors(resolution)
     wz = wq * np.repeat(grid[1], grid[2].size)
@@ -307,14 +302,10 @@ def render_specular(
     resolution=(32, 64),
     rows: slice = slice(None),
 ) -> HdrImage:
-    """Specular image: per pixel int L(l) B(v, l) max(n.l, 0) dl.
+    """Specular image per pixel int L(l) B(v, l) max(n.l, 0) dl of the band rows (see render).
 
     cam provides the view ray per pixel (its pixel_rays) and must match
-    the G-buffer's size. Backfacing pixels (n.v <= 0) render black. rows,
-    a slice of image rows, shades only that band and returns its
-    (rows, W, 3) image, with the bytes of those rows of a full render (the
-    threaded CLI path); the default is every row. Memory is five chunk
-    buffers and the band's image.
+    the G-buffer's size. Backfacing pixels (n.v <= 0) render black.
     """
     if np.any(g.roughness <= 0.0):
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
@@ -360,6 +351,29 @@ def render_specular(
     img = np.zeros(shape)
     img.reshape(-1, 3)[front] = _shade(env, g, pixels, grid, kernel, buffers=5)
     return HdrImage(img)
+
+
+def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
+    """Diffuse and specular images (H, W, 3) of g under env, seen from cam.
+
+    Both renderers shade only the band rows, a slice of image rows, and
+    return its (rows, W, 3) image with the bytes of those rows of a full
+    render. So threads > 1 shade bands of max(1, H // threads) rows in a
+    pool and join them in row order; one thread shades in the caller.
+    """
+    def shade(band):
+        # specular first: its roughness and camera-size checks fail before any shading
+        specular = render_specular(g, env, cam, resolution=resolution, rows=band).data
+        return render_diffuse(g, env, resolution=resolution, rows=band).data, specular
+
+    if threads == 1:  # no pool: a pool thread costs a glibc malloc arena
+        return shade(slice(None))
+    from concurrent.futures import ThreadPoolExecutor
+    step = max(1, g.shape[0] // threads)
+    # at H = 0, one empty band still runs the specular checks, as one thread does
+    bands = [slice(start, start + step) for start in range(0, max(1, g.shape[0]), step)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # each band returns its rows
+        return tuple(map(np.concatenate, zip(*pool.map(shade, bands))))
 
 
 def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> list:

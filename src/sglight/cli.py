@@ -116,28 +116,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .brdf import render_diffuse, render_specular
+    from .brdf import render
     from .scene import parse_scene
     scene = parse_scene(args.scene)
     cam = _require(scene, "camera")
     g = _require(scene, "gbuffer")
     env = _require(scene, "lighting")
-    res = scene.quadrature
-    h, threads = g.shape[0], args.threads
-
-    def shade(band):
-        # specular first: its roughness and camera-size checks fail before any shading
-        specular = render_specular(g, env, cam, resolution=res, rows=band).data
-        return render_diffuse(g, env, resolution=res, rows=band).data, specular
-
-    if threads == 1:
-        diffuse, specular = shade(slice(None))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        step = max(1, h // threads)
-        bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:  # each band returns its rows
-            diffuse, specular = map(np.concatenate, zip(*pool.map(shade, bands)))
+    diffuse, specular = render(g, env, cam, scene.quadrature, threads=args.threads)
     with np.errstate(over="ignore"):  # overflow is reported below
         images = {kind: img.astype(np.float32) for kind, img in
                   (("diffuse", diffuse), ("specular", specular), ("full", diffuse + specular))}
@@ -240,27 +225,15 @@ def _mask_lines(rows: slice, codes, patterns) -> str:
 
 
 def _cmd_reproject(args) -> int:
-    from .multiview import (MultiViewSet, depth_projection_errors, multiview_mask,
-                            multiview_weight)
+    from .multiview import MultiViewSet, consistency_maps
     from .scene import parse_scene
     scene = parse_scene(args.scene)
     mvs = MultiViewSet(tuple(scene.cameras), target=args.target)
-    h, w = mvs.views[args.target].height, mvs.views[args.target].width
-    k = len(mvs)
-    step = max(1, BAND_PX // w)
-    bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
-    # error and weight planes, each K views tiled horizontally into a grayscale map
-    planes = np.empty((2, h, k, w), dtype=np.float32)
-    codes = np.empty((h, w, (k + 7) // 8), dtype=np.uint8)
-    for band in bands:  # every band is computed before any output is opened
-        e = depth_projection_errors(mvs, np.mgrid[band, :w].transpose(1, 2, 0))
-        planes[0, band] = e.transpose(0, 2, 1)
-        planes[1, band] = multiview_weight(e).transpose(0, 2, 1)
-        # the leading target entry is always 1, so only the K view entries are packed
-        codes[band] = np.packbits(multiview_mask(e)[..., 1:], axis=-1, bitorder="little")
+    bands, planes, codes = consistency_maps(mvs, BAND_PX)  # every band, before any output opens
+    # error and weight planes (H, K, W), each K views tiled horizontally into a grayscale map
     for path, plane in zip(args.out[:2], planes):
-        write_pfm(path, plane.reshape(h, k * w))
-    patterns = _mask_patterns(k)
+        write_pfm(path, plane.reshape(len(plane), -1))
+    patterns = _mask_patterns(planes.shape[2])
     with open(args.out[2], "w", encoding="ascii") as fh:  # one line per pixel, row-major
         for band in bands:
             fh.write(_mask_lines(band, codes[band], patterns))

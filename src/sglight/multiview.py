@@ -248,6 +248,27 @@ def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     return errors
 
 
+def consistency_maps(mvs: MultiViewSet, band_px: int):
+    """(bands, planes, codes) of the target view, computed a band of rows at a time.
+
+    bands are slices of max(1, band_px // W) whole rows, planes (2, H, K, W)
+    float32 holds the errors and weights, and codes (H, W, ceil(K / 8)) uint8
+    the mask's view entries, as np.packbits(..., axis=-1, bitorder="little").
+    """
+    h, w = mvs.views[mvs.target].height, mvs.views[mvs.target].width
+    step = max(1, band_px // w)
+    bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
+    planes = np.empty((2, h, len(mvs), w), dtype=np.float32)
+    codes = np.empty((h, w, (len(mvs) + 7) // 8), dtype=np.uint8)
+    for band in bands:
+        e = depth_projection_errors(mvs, np.mgrid[band, :w].transpose(1, 2, 0))
+        planes[0, band] = e.transpose(0, 2, 1)
+        planes[1, band] = multiview_weight(e).transpose(0, 2, 1)
+        # the leading target entry is always 1, so only the K view entries are packed
+        codes[band] = np.packbits(multiview_mask(e)[..., 1:], axis=-1, bitorder="little")
+    return bands, planes, codes
+
+
 def depth_projection_error(mvs: MultiViewSet, target_pixel) -> np.ndarray:
     """Consistency errors (K,) for one target pixel (row, col)."""
     return depth_projection_errors(mvs, (target_pixel[0], target_pixel[1]))

@@ -1,5 +1,6 @@
 """Microfacet BRDF terms, shading integrals, and the specular renderers."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -718,3 +719,51 @@ class TestGBufferValidation:
                 normal=np.broadcast_to([0.0, 0.0, 1.0], (2, 2, 3)).copy(),
                 depth=np.zeros((2, 2)),
             )
+
+
+class TestRender:
+    """brdf.render: the band pool of the render command, as a library call."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 11])
+    def test_bytes_equal_full_renders(self, threads, monkeypatch):
+        """At 1, 2, 3 and H + 2 threads, both images keep the bytes of one
+        full render_diffuse and render_specular call, with visibility. One
+        thread shades in the calling thread; more shade only in pool threads."""
+        cam, g, env = random_scene(9, 7, seed=6)
+        resolution = (6, 12)
+        want_d = render_diffuse(g, env, resolution).data
+        want_s = render_specular(g, env, cam, resolution).data
+        shaded_by, specular = set(), brdf.render_specular
+
+        def traced(*args, **kwargs):
+            shaded_by.add(threading.get_ident())
+            return specular(*args, **kwargs)
+
+        monkeypatch.setattr(brdf, "render_specular", traced)
+        diffuse, spec = brdf.render(g, env, cam, resolution, threads=threads)
+        assert diffuse.shape == spec.shape == (9, 7, 3)
+        assert diffuse.tobytes() == want_d.tobytes()
+        assert spec.tobytes() == want_s.tobytes()
+        assert shaded_by and (threading.get_ident() in shaded_by) == (threads == 1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_roughness_is_reported_before_diffuse_shading(self, threads, monkeypatch):
+        cam, g, env = random_scene(6, 5, seed=7)
+        rough = g.roughness.copy()
+        rough[4, 2] = 0.0
+        g = GBuffer(albedo=g.albedo, roughness=rough, normal=g.normal, depth=g.depth)
+
+        def no_diffuse(*args, **kwargs):
+            raise AssertionError("render_diffuse ran before the specular checks")
+
+        monkeypatch.setattr(brdf, "render_diffuse", no_diffuse)
+        with pytest.raises(ValueError, match=r"^roughness must be > 0 \(delta lobes"):
+            brdf.render(g, env, cam, (4, 8), threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_height_gbuffer_fails_the_camera_check(self, threads):
+        cam, _, env = random_scene(4, 4, seed=1)
+        g = GBuffer(albedo=np.ones((0, 4, 3)), roughness=np.full((0, 4), 0.4),
+                    normal=np.broadcast_to([0.0, 0.0, 1.0], (0, 4, 3)), depth=np.ones((0, 4)))
+        with pytest.raises(ValueError, match="^gbuffer is 4x0 but the camera is 4x4$"):
+            brdf.render(g, env, cam, (4, 8), threads=threads)

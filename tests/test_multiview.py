@@ -1,6 +1,7 @@
 """Cameras, cross-view consistency, weights/masks, and surface splatting."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from sglight.brdf import GBuffer
 from sglight.multiview import (
+    MASK_THRESHOLD,
     CameraView,
     MultiViewSet,
     bilinear_lookup,
+    consistency_maps,
     depth_projection_error,
     depth_projection_errors,
     estimate_depth_scale,
@@ -537,3 +540,53 @@ class TestMultiViewSet:
     def test_target_in_range(self):
         with pytest.raises(ValueError):
             MultiViewSet((simple_camera(), simple_camera()), target=2)
+
+
+class TestConsistencyMaps:
+    """consistency_maps: reproject's band loop, as a library call."""
+
+    @staticmethod
+    def views(height=7, width=10):
+        """Nine views of a 7x10 image: posed_views' four and five repeats, so
+        the mask's view entries fill two packed bytes."""
+        rng = np.random.default_rng(8)
+        views = tuple(dataclasses.replace(v, width=width, height=height, cx=width / 2.0,
+                                          cy=height / 2.0,
+                                          depth=rng.uniform(1.5, 3.0, size=(height, width)))
+                      for v in posed_views().views)
+        return MultiViewSet(views + views[:3] + views[1:3], target=1)
+
+    @pytest.mark.parametrize("band_rows", [1, 3, 7])
+    def test_equals_one_unbanded_pass(self, band_rows):
+        """Bands of W, 3W and H * W pixels give the bytes of one
+        depth_projection_errors, multiview_weight and multiview_mask pass."""
+        mvs = self.views()
+        h, w, k = 7, 10, 9
+        bands, planes, codes = consistency_maps(mvs, band_rows * w)
+        assert [(b.start, b.stop) for b in bands] == [
+            (r, min(r + band_rows, h)) for r in range(0, h, band_rows)]
+        e = depth_projection_errors(mvs, np.indices((h, w)).transpose(1, 2, 0))
+        assert np.isinf(e).any() and (e < MASK_THRESHOLD).any()
+        assert planes.dtype == np.float32 and planes.shape == (2, h, k, w)
+        assert planes[0].tobytes() == e.astype(np.float32).transpose(0, 2, 1).tobytes()
+        want_w = multiview_weight(e).astype(np.float32).transpose(0, 2, 1)
+        assert planes[1].tobytes() == want_w.tobytes()
+        assert codes.dtype == np.uint8 and codes.shape == (h, w, 2)
+        views = np.unpackbits(codes, axis=-1, count=k, bitorder="little")
+        assert np.array_equal(views, multiview_mask(e)[..., 1:])
+
+    def test_peak_memory_is_outputs_and_one_band(self):
+        """On a 96^2 view with K = 4, bands of three rows trace at most the
+        two planes, the packed mask and 64 float64 per band pixel: the band's
+        (n, K) errors, weights and int64 mask, and one view's projection and
+        bilinear lookup at a time. The whole view at once needs over 200 B
+        per pixel beyond the outputs."""
+        mvs = posed_views(size=96)
+        consistency_maps(mvs, 3 * 96)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            _, planes, codes = consistency_maps(mvs, 3 * 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= planes.nbytes + codes.nbytes + 64 * 8 * 3 * 96, peak

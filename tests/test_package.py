@@ -213,3 +213,23 @@ def test_no_contraction_is_handed_to_blas():
                     name == "einsum" and any(kw.arg in ("optimize", None) for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_cli_leaves_the_band_loops_to_the_library():
+    """cli.py starts no thread and calls no per-band kernel: brdf.render and
+    multiview.consistency_maps own the band loops, so a library caller gets
+    the same threads and bounded memory as the command."""
+    tree = ast.parse((ROOT / "src" / "sglight" / "cli.py").read_text())
+    imported, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert not {name for name in imported
+                if name.split(".")[0] in ("concurrent", "threading")}, imported
+    kernels = {"render_diffuse", "render_specular", "depth_projection_errors",
+               "multiview_weight", "multiview_mask"}
+    assert not called & kernels, called & kernels
