@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, _frozen, mixture_radiance
+from .sg import SgEnvironment, _as_unit, _equal_area_grid, _frozen, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
@@ -67,22 +67,22 @@ class GBuffer:
 
 @dataclass(frozen=True)
 class SpecEncoding:
-    """Per-lobe specular features and the lobe's validity mask.
+    """Per-lobe specular features and validity masks, row s for lobe s of env.packed.
 
-    fresnel is Schlick F at the half vector of view and lobe axis (three
-    equal channels for the fixed F0); half_cos_sq is (n . h)^2; axis_cos is
-    n . axis; view_cos is n . v. mask = 1 only when the lobe carries
+    fresnel (S, 3) is Schlick F at the half vector of view and lobe axis (three
+    equal channels for the fixed F0); half_cos_sq (S,) is (n . h)^2; axis_cos (S,)
+    is n . axis; view_cos is n . v. mask (S,) = 1 only when the lobe carries
     energy, points into the upper hemisphere, and the half vector exists.
     """
 
     fresnel: np.ndarray
-    half_cos_sq: float
-    axis_cos: float
+    half_cos_sq: np.ndarray
+    axis_cos: np.ndarray
     view_cos: float
     intensity: np.ndarray
-    sharpness: float
+    sharpness: np.ndarray
     roughness: float
-    mask: int
+    mask: np.ndarray
 
 
 def reflect(v, n) -> np.ndarray:
@@ -117,28 +117,13 @@ def onb(n: np.ndarray):
     return t, bb
 
 
-def _grid_factors(resolution):
-    """hemisphere_grid's factors ((sin, cos) theta_i, (cos, sin) phi_j), weights."""
-    n_lat, n_lon = resolution
-    if n_lat < 1 or n_lon < 1:
-        raise ValueError("resolution must be positive")
-    phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
-    u = (np.arange(n_lat) + 0.5) / n_lat
-    w = np.full(n_lat * n_lon, 2.0 * np.pi / (n_lat * n_lon))
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    return (st, u, np.cos(phi), np.sin(phi)), w
-
-
 def hemisphere_grid(resolution=(32, 64)):
     """Equal-solid-angle quadrature nodes over the local (+z) hemisphere.
 
-    Latitude midpoints uniform in cos(theta) and longitude midpoints
-    uniform in phi, with equal weights summing to 2*pi, so constants and
-    the cosine integrate exactly. Returns (local dirs (M, 3), weights (M,)).
+    sg._equal_area_grid at lo = 0: equal weights summing to 2*pi, so constants
+    and the cosine integrate exactly. Returns (local dirs (M, 3), weights (M,)).
     """
-    (st, u, cos_phi, sin_phi), w = _grid_factors(resolution)
-    x, y = np.outer(st, cos_phi).ravel(), np.outer(st, sin_phi).ravel()
-    return np.stack([x, y, np.repeat(u, cos_phi.size)], axis=-1), w
+    return _equal_area_grid(resolution, 0.0)[1:]
 
 
 def ggx_ndf(cos_h, alpha, out=None):
@@ -287,7 +272,7 @@ def render_diffuse(
 ) -> HdrImage:
     """Diffuse image I_d = (A / pi) * S per pixel of the band rows (see render)."""
     pixels, shape = _band_pixels(g.shape, rows)
-    grid, wq = _grid_factors(resolution)
+    grid, _, wq = _equal_area_grid(resolution, 0.0)
     wz = wq * np.repeat(grid[1], grid[2].size)
     s = _shade(env, g, pixels, grid, lambda rows, frame, bufs: wz)
     with np.errstate(invalid="ignore"):  # albedo 0 times an overflowed s; HdrImage rejects it
@@ -315,7 +300,7 @@ def render_specular(
     front = cos_v > 0.0  # backfacing pixels stay black
     pixels, v, cos_v = pixels[front], v[front], cos_v[front, None]
     alpha = g.roughness.reshape(-1)[pixels, None] ** 2
-    grid, wq = _grid_factors(resolution)
+    grid, _, wq = _equal_area_grid(resolution, 0.0)
 
     def kernel(rows, frame, bufs):
         e, h0, h1, h2, hn = bufs  # e is free scratch until the lobes run
@@ -376,8 +361,13 @@ def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
         return tuple(map(np.concatenate, zip(*pool.map(shade, bands))))
 
 
-def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> list:
-    """Per-lobe specular feature tuples with validity masks.
+def _dot(a, b):
+    """a . b over the last axis, (a0*b0 + a2*b2) + a1*b1 as in sg.lobe_values: no host BLAS."""
+    return a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2] + a[..., 1] * b[..., 1]
+
+
+def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> SpecEncoding:
+    """Per-lobe specular features with validity masks, from one pass over env.packed.
 
     mask_s = 1 iff the lobe has nonzero L1 intensity, its axis points
     above the surface (n . axis > 0, strict), and view + axis does not
@@ -386,33 +376,15 @@ def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> list:
     """
     n = _as_unit(normal)
     v = _as_unit(view)
-    out = []
-    for row in env.packed:
-        axis, intensity = row[:3], row[4:]
-        axis_cos = float(np.dot(n, axis))
-        view_cos = float(np.dot(n, v))
-        hs = v + axis
-        hs_norm = float(np.linalg.norm(hs))
-        defined = hs_norm > 1e-9
-        if defined:
-            hs = hs / hs_norm
-            fres = np.full(3, schlick_fresnel(float(np.dot(v, hs))))
-            half_cos_sq = float(np.dot(n, hs)) ** 2
-        else:
-            fres = np.zeros(3)
-            half_cos_sq = 0.0
-        energetic = float(np.sum(np.abs(intensity))) * axis_cos > 0.0
-        mask = int(energetic and defined)
-        out.append(
-            SpecEncoding(
-                fresnel=fres,
-                half_cos_sq=half_cos_sq,
-                axis_cos=axis_cos,
-                view_cos=view_cos,
-                intensity=intensity.copy(),
-                sharpness=float(row[3]),
-                roughness=float(roughness),
-                mask=mask,
-            )
-        )
-    return out
+    axes, intensity = env.packed[:, :3], env.packed[:, 4:]
+    axis_cos = _dot(n, axes)
+    h = v + axes
+    length = np.sqrt(_dot(h, h))
+    defined = length > 1e-9
+    h /= np.where(defined, length, 1.0)[:, None]  # undefined rows are zeroed below
+    fresnel = np.where(defined, schlick_fresnel(_dot(v, h)), 0.0)
+    half_cos_sq = np.where(defined, _dot(n, h) ** 2, 0.0)
+    energetic = np.sum(np.abs(intensity), axis=-1) * axis_cos > 0.0
+    mask = (energetic & defined).astype(np.int64)
+    return SpecEncoding(np.repeat(fresnel[:, None], 3, axis=1), half_cos_sq, axis_cos,
+                        float(_dot(n, v)), intensity, env.packed[:, 3], float(roughness), mask)

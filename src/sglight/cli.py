@@ -22,7 +22,6 @@ from . import __version__
 from .pfm import read_pfm, write_pfm
 
 METRIC_NAMES = ("g1", "g2", "g3", "g4", "g5", "g6")  # sorted(METRICS), without importing it
-BAND_PX = 1 << 14  # reproject's target pixels per band of whole rows (at least one row)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,7 +228,7 @@ def _cmd_reproject(args) -> int:
     from .scene import parse_scene
     scene = parse_scene(args.scene)
     mvs = MultiViewSet(tuple(scene.cameras), target=args.target)
-    bands, planes, codes = consistency_maps(mvs, BAND_PX)  # every band, before any output opens
+    bands, planes, codes = consistency_maps(mvs)  # every band, before any output opens
     # error and weight planes (H, K, W), each K views tiled horizontally into a grayscale map
     for path, plane in zip(args.out[:2], planes):
         write_pfm(path, plane.reshape(len(plane), -1))

@@ -32,6 +32,7 @@ WEIGHT_CAP = 50.0
 MASK_THRESHOLD = 0.05  # meters
 CONFIDENCE_THRESHOLD = 0.9  # estimate_depth_scale keeps confidence above this
 SPLAT_SIGMA = 0.15  # meters, the fixed_sigma splat's depth-gap deviation
+BAND_PX = 1 << 14  # consistency_maps' target pixels per band of whole rows (at least one row)
 
 
 @dataclass(frozen=True)
@@ -248,15 +249,15 @@ def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     return errors
 
 
-def consistency_maps(mvs: MultiViewSet, band_px: int):
+def consistency_maps(mvs: MultiViewSet):
     """(bands, planes, codes) of the target view, computed a band of rows at a time.
 
-    bands are slices of max(1, band_px // W) whole rows, planes (2, H, K, W)
+    bands are slices of max(1, BAND_PX // W) whole rows, planes (2, H, K, W)
     float32 holds the errors and weights, and codes (H, W, ceil(K / 8)) uint8
     the mask's view entries, as np.packbits(..., axis=-1, bitorder="little").
     """
     h, w = mvs.views[mvs.target].height, mvs.views[mvs.target].width
-    step = max(1, band_px // w)
+    step = max(1, BAND_PX // w)
     bands = [slice(start, min(start + step, h)) for start in range(0, h, step)]
     planes = np.empty((2, h, len(mvs), w), dtype=np.float32)
     codes = np.empty((h, w, (len(mvs) + 7) // 8), dtype=np.uint8)

@@ -223,19 +223,31 @@ def integrate_sg_sphere(lobe: SphericalGaussian) -> np.ndarray:
     return lobe.intensity * energy
 
 
-def sphere_grid(n_lat: int = 64, n_lon: int = 128):
-    """Equal-solid-angle quadrature grid over the full sphere.
+def _equal_area_grid(resolution, lo):
+    """Equal-solid-angle grid over cos(theta) in [lo, 1]: the sphere at -1, hemisphere at 0.
 
-    Latitude bands uniform in cos(theta), azimuth uniform, both at cell
-    midpoints, so every cell subtends exactly 4*pi / (n_lat * n_lon).
-    Returns (directions (N, 3), weights (N,)) with weights summing to 4*pi.
+    resolution (n_lat, n_lon) places M = n_lat * n_lon cell midpoints, uniform
+    in u = cos(theta) and in phi: node (i, j) is (st_i cos phi_j, st_i sin phi_j,
+    u_i), and each cell subtends 2*pi * (1 - lo) / M. Returns the factors (st, u,
+    cos phi, sin phi), the nodes as directions (M, 3), latitude-major, and weights (M,).
     """
+    n_lat, n_lon = resolution
     if n_lat < 1 or n_lon < 1:
-        raise ValueError("grid must have at least one cell per axis")
-    u = (np.arange(n_lat) + 0.5) / n_lat * 2.0 - 1.0
+        raise ValueError("resolution must be positive")
+    u = (np.arange(n_lat) + 0.5) / n_lat * (1.0 - lo) + lo
     phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
-    dirs = np.stack([st * np.cos(pp), st * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-    weights = np.full(dirs.shape[0], 4.0 * np.pi / dirs.shape[0])
-    return dirs, weights
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    x, y = np.outer(st, cos_phi).ravel(), np.outer(st, sin_phi).ravel()
+    dirs = np.stack([x, y, np.repeat(u, n_lon)], axis=-1)
+    w = np.full(n_lat * n_lon, (1.0 - lo) * 2.0 * np.pi / (n_lat * n_lon))
+    return (st, u, cos_phi, sin_phi), dirs, w
+
+
+def sphere_grid(n_lat: int = 64, n_lon: int = 128):
+    """Equal-solid-angle quadrature grid over the full sphere (see _equal_area_grid).
+
+    Every cell subtends exactly 4*pi / (n_lat * n_lon). Returns
+    (directions (N, 3), weights (N,)) with weights summing to 4*pi.
+    """
+    return _equal_area_grid((n_lat, n_lon), -1.0)[1:]

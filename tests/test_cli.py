@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sglight.cli
+import sglight.multiview
 from sglight.cli import METRIC_NAMES, _mask_lines, _mask_patterns, main
 from sglight.envmap import decode_env
 from sglight.multiview import (
@@ -764,7 +765,7 @@ def test_peak_memory_grows_with_inputs_and_outputs(command, tmp_path, monkeypatc
             argv = ["render", str(write_wall_scene(d, quadrature=(16, 32), size=side)),
                     "--out-prefix", str(d / "r")]
         elif command == "reproject":  # bands of 480 pixels at both sides
-            monkeypatch.setattr(sglight.cli, "BAND_PX", 480)
+            monkeypatch.setattr(sglight.multiview, "BAND_PX", 480)
             argv = ["reproject", str(write_posed_scene(d, size=side)), "--target", "0",
                     "--out", *(str(d / n) for n in ("e.pfm", "w.pfm", "m.txt"))]
         else:
@@ -942,8 +943,8 @@ class TestReproject:
         depth[4, 1] = 0.0
         write_pfm(tmp_path / "d0.pfm", depth)
         outs = [tmp_path / n for n in ("e.pfm", "w.pfm", "m.txt")]
-        for band_px in (sglight.cli.BAND_PX, 6):
-            monkeypatch.setattr(sglight.cli, "BAND_PX", band_px)
+        for band_px in (sglight.multiview.BAND_PX, 6):
+            monkeypatch.setattr(sglight.multiview, "BAND_PX", band_px)
             rc = main(["reproject", str(scene_path), "--target", "0", "--out", *map(str, outs)])
             assert rc == 1
             assert capsys.readouterr().err == "error: target pixel has no valid depth\n"
@@ -954,7 +955,7 @@ class TestReproject:
         scene_path = write_posed_scene(tmp_path)
         written = []
         for band_px in (6, 18, 36):
-            monkeypatch.setattr(sglight.cli, "BAND_PX", band_px)
+            monkeypatch.setattr(sglight.multiview, "BAND_PX", band_px)
             outs = [tmp_path / f"{band_px}{n}" for n in ("e.pfm", "w.pfm", "m.txt")]
             assert main(["reproject", str(scene_path), "--target", "0",
                          "--out", *map(str, outs)]) == 0

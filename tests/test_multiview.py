@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sglight import multiview
 from sglight.brdf import GBuffer
 from sglight.multiview import (
     MASK_THRESHOLD,
@@ -557,12 +558,13 @@ class TestConsistencyMaps:
         return MultiViewSet(views + views[:3] + views[1:3], target=1)
 
     @pytest.mark.parametrize("band_rows", [1, 3, 7])
-    def test_equals_one_unbanded_pass(self, band_rows):
+    def test_equals_one_unbanded_pass(self, band_rows, monkeypatch):
         """Bands of W, 3W and H * W pixels give the bytes of one
         depth_projection_errors, multiview_weight and multiview_mask pass."""
         mvs = self.views()
         h, w, k = 7, 10, 9
-        bands, planes, codes = consistency_maps(mvs, band_rows * w)
+        monkeypatch.setattr(multiview, "BAND_PX", band_rows * w)
+        bands, planes, codes = consistency_maps(mvs)
         assert [(b.start, b.stop) for b in bands] == [
             (r, min(r + band_rows, h)) for r in range(0, h, band_rows)]
         e = depth_projection_errors(mvs, np.indices((h, w)).transpose(1, 2, 0))
@@ -575,17 +577,18 @@ class TestConsistencyMaps:
         views = np.unpackbits(codes, axis=-1, count=k, bitorder="little")
         assert np.array_equal(views, multiview_mask(e)[..., 1:])
 
-    def test_peak_memory_is_outputs_and_one_band(self):
+    def test_peak_memory_is_outputs_and_one_band(self, monkeypatch):
         """On a 96^2 view with K = 4, bands of three rows trace at most the
         two planes, the packed mask and 64 float64 per band pixel: the band's
         (n, K) errors, weights and int64 mask, and one view's projection and
         bilinear lookup at a time. The whole view at once needs over 200 B
         per pixel beyond the outputs."""
         mvs = posed_views(size=96)
-        consistency_maps(mvs, 3 * 96)  # first-call caches stay out of the peak
+        monkeypatch.setattr(multiview, "BAND_PX", 3 * 96)
+        consistency_maps(mvs)  # first-call caches stay out of the peak
         tracemalloc.start()
         try:
-            _, planes, codes = consistency_maps(mvs, 3 * 96)
+            _, planes, codes = consistency_maps(mvs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -233,3 +233,14 @@ def test_cli_leaves_the_band_loops_to_the_library():
     kernels = {"render_diffuse", "render_specular", "depth_projection_errors",
                "multiview_weight", "multiview_mask"}
     assert not called & kernels, called & kernels
+
+
+def test_cli_binds_no_module_level_number():
+    """A size or tolerance belongs next to the library code it tunes, as
+    brdf.CHUNK_NODES, vsg.CHUNK_POINTS and multiview.BAND_PX do: a number
+    bound in cli.py would tune a library call that other callers cannot see."""
+    import sglight.cli
+
+    numbers = [name for name, value in vars(sglight.cli).items()
+               if isinstance(value, (int, float)) and not isinstance(value, bool)]
+    assert numbers == []

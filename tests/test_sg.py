@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sglight.brdf import hemisphere_grid
 from sglight.sg import (
     SgEnvironment,
     SphericalGaussian,
@@ -24,6 +25,31 @@ def quadrature_integral(lobe, n_lat=256, n_lon=512):
     dirs, w = sphere_grid(n_lat, n_lon)
     vals = sg_radiance(lobe.intensity, lobe.sharpness, lobe.axis, dirs)
     return np.einsum("nc,n->c", vals, w)
+
+
+class TestEqualAreaGrid:
+    @pytest.mark.parametrize("n_lat, n_lon", [(1, 1), (1, 8), (5, 1), (3, 7), (16, 32),
+                                              (32, 64), (64, 128)])
+    def test_sphere_and_hemisphere_keep_their_bytes(self, n_lat, n_lon):
+        """The one builder at lo = -1 and lo = 0 gives the bytes of the two
+        grids it replaced: the sphere's meshgrid form and the hemisphere's
+        outer-product form."""
+        phi = (np.arange(n_lon) + 0.5) / n_lon * 2.0 * np.pi
+        u = (np.arange(n_lat) + 0.5) / n_lat * 2.0 - 1.0
+        uu, pp = np.meshgrid(u, phi, indexing="ij")
+        st = np.sqrt(np.clip(1.0 - uu * uu, 0.0, None))
+        dirs = np.stack([st * np.cos(pp), st * np.sin(pp), uu], axis=-1).reshape(-1, 3)
+        got = sphere_grid(n_lat, n_lon)
+        assert got[0].tobytes() == dirs.tobytes()
+        assert got[1].tobytes() == np.full(len(dirs), 4.0 * np.pi / len(dirs)).tobytes()
+
+        u = (np.arange(n_lat) + 0.5) / n_lat
+        st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+        x, y = np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel()
+        local = np.stack([x, y, np.repeat(u, n_lon)], axis=-1)
+        got = hemisphere_grid((n_lat, n_lon))
+        assert got[0].tobytes() == local.tobytes()
+        assert got[1].tobytes() == np.full(len(local), 2.0 * np.pi / len(local)).tobytes()
 
 
 class TestSphereIntegral:
