@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, _equal_area_grid, _frozen, mixture_radiance
+from .sg import SgEnvironment, _as_unit, _dot, _equal_area_grid, _frozen, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
@@ -89,7 +89,7 @@ def reflect(v, n) -> np.ndarray:
     """Mirror direction 2*(n.v)*n - v for unit v, n."""
     v = _as_unit(v)
     n = _as_unit(n)
-    return 2.0 * np.sum(n * v, axis=-1, keepdims=True) * n - v
+    return 2.0 * _dot(n, v)[..., None] * n - v
 
 
 def half_vector(v, l) -> np.ndarray:
@@ -158,22 +158,22 @@ def specular_brdf(v, l, n, roughness: float) -> float:
     """Full microfacet BRDF value D * G2 * F / (4 (n.v)(n.l)).
 
     Scalar because F0 is scalar; zero when either direction is below the
-    horizon. Symmetric in v and l.
+    horizon. Symmetric in v and l; its dot products are sg._dot's, not BLAS's.
     """
     if roughness <= 0.0:
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
     v = _as_unit(v)
     l = _as_unit(l)
     n = _as_unit(n)
-    cos_v = float(np.dot(n, v))
-    cos_l = float(np.dot(n, l))
+    cos_v = float(_dot(n, v))
+    cos_l = float(_dot(n, l))
     if cos_v <= 0.0 or cos_l <= 0.0:
         return 0.0
     h = half_vector(v, l)
     alpha = roughness * roughness
-    d = ggx_ndf(float(np.dot(n, h)), alpha)
+    d = ggx_ndf(float(_dot(n, h)), alpha)
     g = smith_g2(cos_v, cos_l, alpha)
-    f = schlick_fresnel(float(np.dot(v, h)))
+    f = schlick_fresnel(float(_dot(v, h)))
     return float(d * g * f / (4.0 * cos_v * cos_l))
 
 
@@ -361,18 +361,13 @@ def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
         return tuple(map(np.concatenate, zip(*pool.map(shade, bands))))
 
 
-def _dot(a, b):
-    """a . b over the last axis, (a0*b0 + a2*b2) + a1*b1 as in sg.lobe_values: no host BLAS."""
-    return a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2] + a[..., 1] * b[..., 1]
-
-
 def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> SpecEncoding:
     """Per-lobe specular features with validity masks, from one pass over env.packed.
 
     mask_s = 1 iff the lobe has nonzero L1 intensity, its axis points
     above the surface (n . axis > 0, strict), and view + axis does not
     vanish (half vector defined). Half-vector features are zeroed for
-    masked lobes with an undefined half vector.
+    masked lobes with an undefined half vector. Every dot product is sg._dot's.
     """
     n = _as_unit(normal)
     v = _as_unit(view)

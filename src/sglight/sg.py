@@ -140,6 +140,16 @@ class SgEnvironment:
         return len(self.lobes)
 
 
+def _dot(a, b) -> np.ndarray:
+    """a . b over the last axis of two arrays as (a0*b0 + a2*b2) + a1*b1 at any strides, so
+    one vector and a batch round alike: sglight's one three-term dot, and no host BLAS."""
+    # one named array updated in place: chunk-sized temporaries are too small for numpy to elide
+    g = a[..., 0] * b[..., 0]
+    g += a[..., 2] * b[..., 2]
+    g += a[..., 1] * b[..., 1]
+    return g
+
+
 def lobe_values(axis, sharpness, dirs) -> np.ndarray:
     """The unit-intensity lobe exp(sharpness * (dot(dirs, axis) - 1)).
 
@@ -148,14 +158,9 @@ def lobe_values(axis, sharpness, dirs) -> np.ndarray:
     compositing). axis (..., 3), sharpness (...) and dirs (..., 3)
     broadcast over their leading axes, so dirs[..., None, :] against
     (S, 3) axes gives every lobe at every direction, (..., S); sharpness
-    broadcasts into that shape. The dot product sums (d0*a0 + d2*a2) + d1*a1
-    whatever the operands' strides, so one direction and a batch round alike.
+    broadcasts into that shape. The dot product is _dot(dirs, axis).
     """
-    d, a = np.asarray(dirs, dtype=np.float64), np.asarray(axis, dtype=np.float64)
-    # one named array updated in place: chunk-sized temporaries are too small for numpy to elide
-    g = d[..., 0] * a[..., 0]
-    g += d[..., 2] * a[..., 2]
-    g += d[..., 1] * a[..., 1]
+    g = _dot(np.asarray(dirs, dtype=np.float64), np.asarray(axis, dtype=np.float64))
     g -= 1.0
     g *= sharpness
     return np.exp(g, out=g) if g.ndim else np.exp(g)

@@ -25,6 +25,7 @@ from .sg import (
     SgEnvironment,
     SphericalGaussian,
     _as_unit,
+    _dot,
     _frozen,
     lobe_values,
     mixture_radiance,
@@ -83,9 +84,9 @@ def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
     d_axis = lobe.sharpness * lobe.intensity * e  # common factor of axis partials
     return {
         "intensity": e,
-        "sharpness": lobe.intensity * (float(l @ lobe.axis) - 1.0) * e,
-        "theta": d_axis * float(l @ d_theta),
-        "phi": d_axis * float(l @ d_phi),
+        "sharpness": lobe.intensity * (float(_dot(l, lobe.axis)) - 1.0) * e,
+        "theta": d_axis * float(_dot(l, d_theta)),
+        "phi": d_axis * float(_dot(l, d_phi)),
     }
 
 

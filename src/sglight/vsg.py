@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sg import _as_unit, _frozen, lobe_values, sg_radiance
+from .sg import _as_unit, _dot, _frozen, lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
@@ -69,7 +69,7 @@ class VsgVolume:
         object.__setattr__(self, "bbox_max", hi)
         dims = np.array(grid.shape[1:], dtype=np.float64)
         stride = np.array([dims[1] * dims[2], dims[2], 1.0])
-        offsets = [int(np.dot(c, np.where(dims > 1, stride, 0))) for c in np.ndindex(2, 2, 2)]
+        offsets = [int(_dot(np.array(c), stride * (dims > 1))) for c in np.ndindex(2, 2, 2)]
         object.__setattr__(self, "lattice", (
             grid.reshape(8, -1), lo[:, None], ((hi - lo) / dims)[:, None], (dims - 1.0)[:, None],
             np.maximum(dims - 2.0, 0.0)[:, None], stride, offsets))
@@ -135,7 +135,7 @@ def ray_box_intersect(bbox_min, bbox_max, origins, dirs):
     lo = near.max(axis=-1)
     hi = far.min(axis=-1)
     t_near = np.maximum(lo, 0.0)
-    hit = (hi > t_near) & (hi > 0.0)
+    hit = hi > t_near  # t_near is >= 0 or NaN, so a hit also has hi > 0
     return t_near, hi, hit
 
 

@@ -198,9 +198,10 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 
 def test_no_contraction_is_handed_to_blas():
-    """No np.einsum in src/ passes optimize=, and none calls np.tensordot.
+    """No np.einsum in src/ passes optimize=, and nothing calls np.tensordot
+    or a dot (np.dot or an array's .dot): sg._dot sums three-term dot products.
 
-    Both can hand a contraction to BLAS, whose blocking and thread count
+    All can hand a contraction to BLAS, whose blocking and thread count
     change the last bits of a sum, so outputs would depend on the host.
     """
     found = []
@@ -209,7 +210,7 @@ def test_no_contraction_is_handed_to_blas():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name == "tensordot" or (
+            if name in ("tensordot", "dot") or (
                     name == "einsum" and any(kw.arg in ("optimize", None) for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

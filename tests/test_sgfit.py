@@ -117,6 +117,34 @@ class TestGradients:
         np.testing.assert_allclose(g["theta"], 0.0, atol=1e-12)
         np.testing.assert_allclose(g["phi"], 0.0, atol=1e-12)
 
+    def test_within_a_few_eps_of_the_blas_dots(self):
+        """1000 random lobes and directions against the partials with their
+        dot products taken by BLAS `@`, as sglight once did. Both dots lie
+        within gamma_3 * sum_i |l_i x_i| of the exact one (see test_sg's
+        TestDot), so each field moves by at most 4 eps of its scale
+        |factor| * (sum_i |l_i x_i| + 1) (measured: 1.7 eps); the intensity
+        partial, which lobe_values gives, is unchanged."""
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(8)
+        moved = 0
+        for _ in range(1000):
+            lobe = SphericalGaussian(normalize(rng.normal(size=3)), rng.uniform(0.0, 60.0),
+                                     rng.uniform(0.0, 3.0, size=3))
+            l = normalize(rng.normal(size=3))
+            got = sg_gradients(lobe, l)
+            d_theta, d_phi = sgfit._axis_partials(*unit_to_spherical(lobe.axis))
+            e = float(lobe_values(lobe.axis, lobe.sharpness, l))
+            d_axis = lobe.sharpness * lobe.intensity * e
+            blas = {"sharpness": lobe.intensity * (float(l @ lobe.axis) - 1.0) * e,
+                    "theta": d_axis * float(l @ d_theta), "phi": d_axis * float(l @ d_phi)}
+            assert got["intensity"] == e
+            for key, factor, x in (("sharpness", lobe.intensity * e, lobe.axis),
+                                   ("theta", d_axis, d_theta), ("phi", d_axis, d_phi)):
+                scale = np.abs(factor) * (np.sum(np.abs(l * x)) + 1.0)
+                assert np.all(np.abs(got[key] - blas[key]) <= 4 * eps * scale), key
+                moved += int(np.any(got[key] != blas[key]))
+        assert moved > 0  # the two sums do round differently
+
     @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (1, 1, 3)])
     def test_batched_direction_rejected(self, shape):
         """The partials are for one direction; a batch of unit directions

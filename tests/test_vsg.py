@@ -85,6 +85,29 @@ class TestRayBox:
         assert hit
         np.testing.assert_allclose([t0, t1], [2.0, 4.0])
 
+    def test_hit_rule_equals_the_two_sided_rule(self):
+        """hit = t_far > t_near, with t_near = max(lo, 0) >= 0 or NaN, is the
+        former (t_far > t_near) & (t_far > 0). Checked on random rays and on
+        origins at every face, edge and corner of the box, inside, on and
+        outside it, cast along every axis-parallel direction made of -1,
+        -0.0, +0.0 and 1 components."""
+        lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5])
+        levels = np.stack([lo - 1.0, lo, (lo + hi) / 2, hi, hi + 1.0], axis=1)  # (3, 5)
+        origins = np.array([[levels[0, i], levels[1, j], levels[2, k]]
+                            for i, j, k in np.ndindex(5, 5, 5)])
+        comps = [-1.0, -0.0, 0.0, 1.0]
+        dirs = np.array([[x, y, z] for x in comps for y in comps for z in comps])
+        rng = np.random.default_rng(12)
+        cases = [
+            (origins[:, None, :], dirs[None, :, :]),
+            (rng.uniform(-3.0, 5.0, size=(5000, 3)), normalize(rng.normal(size=(5000, 3)))),
+        ]
+        for o, d in cases:
+            t_near, t_far, hit = ray_box_intersect(lo, hi, o, d)
+            assert np.array_equal(hit, (t_far > t_near) & (t_far > 0.0))
+            assert hit.any() and not hit.all()
+            assert np.all(t_near >= 0.0)
+
 
 class TestSampling:
     def test_midpoint_positions(self):
