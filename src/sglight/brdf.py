@@ -343,8 +343,8 @@ def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
 
     Both renderers shade only the band rows, a slice of image rows, and
     return its (rows, W, 3) image with the bytes of those rows of a full
-    render. So threads > 1 shade bands of max(1, H // threads) rows in a
-    pool and join them in row order; one thread shades in the caller.
+    render. So threads > 1 shade min(threads, H) bands of ceil(H / threads)
+    rows in a pool and join them in row order; one thread shades in the caller.
     """
     def shade(band):
         # specular first: its roughness and camera-size checks fail before any shading
@@ -354,7 +354,7 @@ def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
     if threads == 1:  # no pool: a pool thread costs a glibc malloc arena
         return shade(slice(None))
     from concurrent.futures import ThreadPoolExecutor
-    step = max(1, g.shape[0] // threads)
+    step = max(1, -(-g.shape[0] // threads))  # the ceiling: no band beyond the pool's first round
     # at H = 0, one empty band still runs the specular checks, as one thread does
     bands = [slice(start, start + step) for start in range(0, max(1, g.shape[0]), step)]
     with ThreadPoolExecutor(max_workers=threads) as pool:  # each band returns its rows

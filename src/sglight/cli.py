@@ -177,19 +177,16 @@ def _cmd_bench_order(args) -> int:
         raise ValueError("--nr-sweep must be comma-separated integers") from None
     if not sweep:
         raise ValueError("--nr-sweep is empty")
-    if args.rays < 1 or min(sweep) < 1:  # bench_orders' own check, before the CSV exists
+    if args.rays < 1 or min(sweep) < 1:  # bench_orders' own check, before any n_r runs
         raise ValueError("rays and n_r must be >= 1")
-    with open(args.out, "w", newline="", encoding="ascii") as fh:
+    results = [bench_orders(vol, rays=args.rays, n_r=n_r, seed=args.seed) for n_r in sweep]
+    with open(args.out, "w", newline="", encoding="ascii") as fh:  # once every n_r has run
         writer = csv.writer(fh)
         writer.writerow(["order", "n_r", "rays", "g_evals", "seconds"])
-        for n_r in sweep:
-            result = bench_orders(vol, rays=args.rays, n_r=n_r, seed=args.seed)
-            writer.writerow(["before", n_r, args.rays,
-                             result["g_evals_before"],
-                             f"{result['seconds_before']:.6f}"])
-            writer.writerow(["after", n_r, args.rays,
-                             result["g_evals_after"],
-                             f"{result['seconds_after']:.6f}"])
+        for n_r, result in zip(sweep, results):
+            for order in ("before", "after"):
+                writer.writerow([order, n_r, args.rays, result[f"g_evals_{order}"],
+                                 f"{result[f'seconds_{order}']:.6f}"])
     return 0
 
 

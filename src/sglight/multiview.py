@@ -182,8 +182,6 @@ class VisibleSurfaceVolume:
 
     features: np.ndarray  # (X, Y, Z, C), already weighted by rho
     rho: np.ndarray  # (X, Y, Z) in [0, 1]
-    bbox_min: np.ndarray
-    bbox_max: np.ndarray
 
 
 def bilinear_lookup(img: np.ndarray, u, v):
@@ -379,6 +377,4 @@ def splat_visible_surface(
         rho = np.exp(-gap * gap / (2.0 * SPLAT_SIGMA * SPLAT_SIGMA))
     rho = np.where(ok, rho, 0.0)
     features = rho[..., None] * np.where(ok[..., None], values[..., len(head) :], 0.0)
-    return VisibleSurfaceVolume(
-        features, rho, np.asarray(bbox_min, float), np.asarray(bbox_max, float)
-    )
+    return VisibleSurfaceVolume(features, rho)

@@ -6,9 +6,12 @@ lobe: log intensity (RGB), log sharpness, and the axis polar angles, so
 positivity is built into the parameterization. Optimization is damped
 Gauss-Newton (Levenberg-Marquardt) with a multiplicative damping
 schedule; steps are only accepted when they lower the objective, so the
-recorded loss trace is monotone. Initialization greedily extracts peaks
-from the residual map (sharpness 10, intensity at the peak value). The
-lobe count and the iteration cap are fit_sg's only settings.
+recorded loss trace is monotone. A singular damped solve is a rejected
+trial like any other; an iteration that accepts no step with damping up
+to the one bound DAMPING_MAX = 1e14 ends the fit. Initialization
+greedily extracts peaks from the residual map (sharpness 10, intensity
+at the peak value). The lobe count and the iteration cap are fit_sg's
+only settings.
 
 Per-pixel visibility factors for fixed lobes reduce to a box-constrained
 linear least-squares problem per pixel, solved exactly in [0, 1].
@@ -37,13 +40,14 @@ from .sg import (
 # floor applied to initial intensities before taking logs
 LOG_FLOOR = 1e-8
 # converged means: an accepted step dropped the objective by less than
-# TOLERANCE (relative), or no damped step could improve it at all
+# TOLERANCE (relative), or no step damped up to DAMPING_MAX could improve it
 TOLERANCE = 1e-12
 # the LM damping factor starts at DAMPING_INIT and multiplies by
 # DAMPING_GROWTH after a rejected step, by DAMPING_SHRINK after an accepted one
 DAMPING_INIT = 1e-3
 DAMPING_GROWTH = 4.0
 DAMPING_SHRINK = 0.25
+DAMPING_MAX = 1e14
 # a trial whose log intensity or log sharpness reaches this would overflow exp
 LOG_MAX = float(np.log(np.finfo(np.float64).max))
 
@@ -208,43 +212,34 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
     loss = float(np.add.reduce(r * r))
     trace = [loss]
     damping = DAMPING_INIT
-    iterations = 0
     converged = False
 
     for _ in range(max_iterations):
         h, g = _normal_equations(p, dirs, pred, sqrt_w, r, work)
         diag = np.diag(h).copy()
         diag[diag <= 0.0] = 1e-12
-        accepted = False
-        for _ in range(60):  # damping escalation within one iteration
+        while damping <= DAMPING_MAX:  # damping escalation within one iteration
             damped = h.copy()  # the trial's one (6S, 6S) matrix besides h
             damped.flat[::len(damped) + 1] += damping * diag
+            loss_try = np.inf  # rejected like a non-finite loss if singular or exp would overflow
             try:
-                step = np.linalg.solve(damped, -g)
+                p_try = p + np.linalg.solve(damped, -g).reshape(p.shape)
             except np.linalg.LinAlgError:
-                damping *= DAMPING_GROWTH
-                continue
-            p_try = p + step.reshape(p.shape)
-            loss_try = np.inf  # rejected like a non-finite loss if exp would overflow
-            if p_try[:, :4].max() < LOG_MAX:
+                p_try = None
+            if p_try is not None and p_try[:, :4].max() < LOG_MAX:
                 # each trial leaves its lobe values in work; the accepted one is the last
                 r_try, pred_try = _objective_parts(p_try, dirs, log_tgt, sqrt_w, work[0])
                 loss_try = float(np.add.reduce(r_try * r_try))
             if np.isfinite(loss_try) and loss_try < loss:
-                rel_drop = (loss - loss_try) / max(loss, 1e-300)
-                p, r, pred = p_try, r_try, pred_try
-                loss = loss_try
-                damping = max(damping * DAMPING_SHRINK, 1e-12)
-                accepted = True
                 break
             damping *= DAMPING_GROWTH
-            if damping > 1e14:
-                break
-        if not accepted:
-            # damping escalation exhausted: stationary point reached
+        else:  # damping escalation exhausted: stationary point reached
             converged = True
             break
-        iterations += 1
+        rel_drop = (loss - loss_try) / max(loss, 1e-300)
+        p, r, pred = p_try, r_try, pred_try
+        loss = loss_try
+        damping = max(damping * DAMPING_SHRINK, 1e-12)
         trace.append(loss)
         if rel_drop < TOLERANCE or loss == 0.0:
             converged = True
@@ -253,7 +248,7 @@ def fit_sg(target: EnvironmentMap, *, num_lobes: int = 3, max_iterations: int = 
     return FitResult(
         environment=_env_from_params(p),
         final_loss=loss,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
         loss_trace=tuple(trace),
     )

@@ -835,6 +835,23 @@ class TestRender:
         assert spec.tobytes() == want_s.tobytes()
         assert shaded_by and (threading.get_ident() in shaded_by) == (threads == 1)
 
+    @pytest.mark.parametrize("height, threads, bands", [
+        (5, 2, [3, 2]), (7, 4, [2, 2, 2, 1]), (48, 2, [24, 24])])
+    def test_one_band_per_thread(self, height, threads, bands, monkeypatch):
+        """H rows on T threads make exactly min(T, H) bands of ceil(H / T)
+        rows (the last one shorter), so no band waits for a second round."""
+        cam, g, env = random_scene(height, 3, seed=2)
+        heights, specular = [], brdf.render_specular
+
+        def counted(*args, **kwargs):
+            out = specular(*args, **kwargs)
+            heights.append(len(out.data))
+            return out
+
+        monkeypatch.setattr(brdf, "render_specular", counted)
+        brdf.render(g, env, cam, (2, 4), threads=threads)
+        assert sorted(heights, reverse=True) == bands
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_zero_roughness_is_reported_before_diffuse_shading(self, threads, monkeypatch):
         cam, g, env = random_scene(6, 5, seed=7)

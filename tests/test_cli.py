@@ -680,6 +680,21 @@ def test_bench_order_checks_counts_before_the_csv(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_order_writes_no_csv_when_a_later_count_fails(tmp_path, capsys):
+    """An n_r that cannot be allocated after one that ran fails with one
+    error line and no CSV: every n_r runs before the CSV opens, so no file
+    holds the header and the earlier rows as if the sweep were complete."""
+    scene = write_volume_scene(tmp_path)
+    out = tmp_path / "o.csv"
+    rc = main(["bench-order", str(scene), "--rays", "1",
+               "--nr-sweep", "8,1000000000000000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if line] == [err.strip()]
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dims,payload", [(b"-1 -1 4", 128), (b"-2 4 4", 0)])
 def test_negative_volume_dimensions_are_clean_error(dims, payload, tmp_path, capsys):
     """Negative header dimensions fail with one error line, no traceback."""

@@ -439,6 +439,27 @@ class TestFitRecovery:
             assert np.array_equal(a.axis, b.axis) and a.sharpness == b.sharpness
             assert np.array_equal(a.intensity, b.intensity)
 
+    def test_singular_solves_alone_stop_at_the_damping_bound(self, monkeypatch):
+        """When every damped solve is singular, each is a rejected trial: the
+        damping grows from DAMPING_INIT = 1e-3 by DAMPING_GROWTH = 4 until it
+        passes DAMPING_MAX = 1e14 (1e-3 * 4^28 = 7.2e13, so 29 solves), and
+        the fit returns its initial lobes as a stationary point."""
+        target = decode_env(SgEnvironment((SphericalGaussian(
+            normalize([0.3, -0.1, 0.9]), 9.0, [1.1, 0.6, 0.9]),)), rows=8, cols=16)
+        solves = []
+
+        def singular(a, b):
+            solves.append(b)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = fit_sg(target, num_lobes=2, max_iterations=20)
+        monkeypatch.undo()
+        assert len(solves) == 29
+        assert res.converged and res.iterations == 0
+        assert res.loss_trace == (res.final_loss,)
+        assert res.final_loss == fit_sg(target, num_lobes=2, max_iterations=1).loss_trace[0]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fit_sg(EnvironmentMap(np.ones((4, 8, 3))), num_lobes=0)
