@@ -346,6 +346,9 @@ def render(g: GBuffer, env: SgEnvironment, cam, resolution, threads=1):
     render. So threads > 1 shade min(threads, H) bands of ceil(H / threads)
     rows in a pool and join them in row order; one thread shades in the caller.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
     def shade(band):
         # specular first: its roughness and camera-size checks fail before any shading
         specular = render_specular(g, env, cam, resolution=resolution, rows=band).data

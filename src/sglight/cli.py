@@ -154,9 +154,7 @@ def _cmd_vsg_trace(args) -> int:
         for p in range(lo, min(lo + chunk, len(rays))):
             s = sample_ray(vol, origin, rays[p], n_r)
             if len(s):
-                k = len(hits)
-                rec[0, k], rec[1:4, k], rec[4:7, k], rec[7, k] = \
-                    s.alpha, s.intensity.T, s.axis.T, s.sharpness
+                rec[:, len(hits)] = s.records
                 hits.append(p)
         if hits:  # misses stay 0
             img[hits] = composite_rays(rec[:, :len(hits)], rays[hits], args.order)

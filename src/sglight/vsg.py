@@ -98,14 +98,13 @@ class VsgVolume:
 class RaySampleSet:
     """Records interpolated along one ray, ordered near to far.
 
+    records is channel-major, one row per channel in CHANNEL_ORDER (alpha,
+    intensity RGB, renormalized axis xyz, sharpness), as _march fills it.
     Empty sets (zero samples) mean the ray missed the box.
     """
 
     t: np.ndarray  # distances along the ray, shape (n,)
-    alpha: np.ndarray  # (n,)
-    intensity: np.ndarray  # (n, 3)
-    axis: np.ndarray  # (n, 3), renormalized
-    sharpness: np.ndarray  # (n,)
+    records: np.ndarray  # (8, n)
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -230,7 +229,7 @@ def sample_ray(vol: VsgVolume, origin, direction, n_r: int = 128) -> RaySampleSe
     t_near, t_far, hit = ray_box_intersect(vol.bbox_min, vol.bbox_max, origin, direction)
     t, rec = (_march(vol, origin, direction, t_near, t_far, _workspace((n_r,)), np.empty((8, n_r)))
               if hit else (np.zeros(0), np.zeros((8, 0))))
-    return RaySampleSet(t, rec[0], rec[1:4].T, rec[4:7].T, rec[7])
+    return RaySampleSet(t, rec)
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
@@ -249,7 +248,7 @@ def compositing_weights(alpha: np.ndarray) -> np.ndarray:
 
 
 def _composite_before(alpha, intensity, axis, sharpness, l):
-    """Blend of per-sample lobe evaluations at -l, for rays l (R, 3) or one ray (3,).
+    """Blend of per-sample lobe evaluations at -l, for rays l (R, 3).
 
     Channel-major field rows: alpha and sharpness (R, n_r), intensity and
     axis (3, R, n_r)."""
@@ -271,10 +270,10 @@ def composite_rays(records, dirs, order: str) -> np.ndarray:
     """RGB (R, 3) of rays dirs (R, 3) from their channel-major records
     (8, R, n_r), laid out as _march fills them, in order "before" or "after".
 
-    Each row has the bits composite_sg_before / composite_sg_after give that
-    ray's sample_ray set. Nothing is copied: each channel's (R, n_r) rows
-    need only be contiguous along the samples, as the first R rows of a
-    larger (8, chunk, n_r) buffer are (the sums over samples follow the strides).
+    Each row has the bits of its ray alone: composite_sg_before / _after are
+    the R = 1 case. Nothing is copied: each channel's (R, n_r) rows need
+    only be contiguous along the samples, as the first R rows of a larger
+    (8, chunk, n_r) buffer are (the sums over samples follow the strides).
     """
     kernel = {"before": _composite_before, "after": _composite_after}.get(order)
     if kernel is None:
@@ -288,23 +287,16 @@ def composite_rays(records, dirs, order: str) -> np.ndarray:
     return kernel(records[0], records[1:4], records[4:7], records[7], dirs)
 
 
-def _nonempty_fields(samples: RaySampleSet, l):
-    """Channel-major field rows, copied unless contiguous as sample_ray's are, and l:
-    the sums over samples are einsum calls, whose summation order follows the strides."""
-    if len(samples) == 0:
-        raise ValueError("cannot composite an empty sample set")
-    rows = (samples.intensity.T, samples.axis.T, samples.sharpness)
-    return samples.alpha, *map(np.ascontiguousarray, rows), np.asarray(l, dtype=np.float64)
-
-
 def composite_sg_before(samples: RaySampleSet, l) -> np.ndarray:
     """Per-sample lobe evaluation, then alpha blend. Returns RGB."""
-    return _composite_before(*_nonempty_fields(samples, l))
+    return composite_rays(np.ascontiguousarray(samples.records)[:, None], np.reshape(l, (1, 3)),
+                          "before")[0]
 
 
 def composite_sg_after(samples: RaySampleSet, l) -> np.ndarray:
     """Alpha blend the parameters, then one lobe evaluation. Returns RGB."""
-    return _composite_after(*_nonempty_fields(samples, l))
+    return composite_rays(np.ascontiguousarray(samples.records)[:, None], np.reshape(l, (1, 3)),
+                          "after")[0]
 
 
 def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
@@ -375,21 +367,26 @@ def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int =
 def save_vsg(path, vol: VsgVolume) -> None:
     """Serialize: four ASCII header lines, then little-endian float32.
 
-    Header: "VSG1", "X Y Z", "xmin ymin zmin xmax ymax zmax", channel
-    order line. Payload is C order over (X, Y, Z, 8), 4 bytes per value.
+    Header: "VSG1", "X Y Z", "xmin ymin zmin xmax ymax zmax" (.17g, exact),
+    channel order line. Payload is C order over (X, Y, Z, 8), 4 bytes per
+    value; data beyond float32 raises ValueError and writes nothing.
     """
     x, y, z = vol.dims
     lo = vol.bbox_min
     hi = vol.bbox_max
     header = (
         f"{VSG_MAGIC}\n{x} {y} {z}\n"
-        f"{lo[0]:.9g} {lo[1]:.9g} {lo[2]:.9g} "
-        f"{hi[0]:.9g} {hi[1]:.9g} {hi[2]:.9g}\n"
+        f"{lo[0]:.17g} {lo[1]:.17g} {lo[2]:.17g} "
+        f"{hi[0]:.17g} {hi[1]:.17g} {hi[2]:.17g}\n"
         f"{CHANNEL_ORDER}\n"
     ).encode("ascii")
+    with np.errstate(over="ignore"):  # refused below
+        payload = np.ascontiguousarray(vol.data, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("volume data overflows the float32 range of VSG")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(vol.data, dtype="<f4"))
+        fh.write(payload)
 
 
 def load_vsg(path) -> VsgVolume:

@@ -115,7 +115,7 @@ def test_criterion_04_compositing_equivalence():
                             3.0)
     s128 = sample_ray(homog, [0.0, 0.0, -3.0], [0.0, 0.0, 1.0], n_r=128)
     d_homog = rel_err(composite_sg_before(s128, l), composite_sg_after(s128, l))
-    w_sum = float(compositing_weights(s128.alpha).sum())
+    w_sum = float(compositing_weights(s128.records[0]).sum())
 
     rng = np.random.default_rng(9)
     vol = random_volume(rng)
@@ -124,7 +124,7 @@ def test_criterion_04_compositing_equivalence():
         origin = 3.0 * normalize(rng.normal(size=3))
         target = rng.uniform(-0.8, 0.8, size=3)
         alphas[i] = sample_ray(vol, origin, normalize(target - origin),
-                               n_r=16).alpha
+                               n_r=16).records[0]
     w = compositing_weights(alphas)
     identity = np.abs(w.sum(axis=-1) + np.prod(1.0 - alphas, axis=-1) - 1.0)
     d_identity = float(identity.max())

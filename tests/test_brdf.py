@@ -873,3 +873,14 @@ class TestRender:
                     normal=np.broadcast_to([0.0, 0.0, 1.0], (0, 4, 3)), depth=np.ones((0, 4)))
         with pytest.raises(ValueError, match="^gbuffer is 4x0 but the camera is 4x4$"):
             brdf.render(g, env, cam, (4, 8), threads=threads)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_fail_before_shading(self, threads, monkeypatch):
+        cam, g, env = random_scene(4, 4, seed=3)
+
+        def no_shading(*args, **kwargs):
+            raise AssertionError("shading ran before the threads check")
+
+        monkeypatch.setattr(brdf, "render_specular", no_shading)
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            brdf.render(g, env, cam, (4, 8), threads=threads)

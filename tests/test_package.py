@@ -236,6 +236,16 @@ def test_cli_leaves_the_band_loops_to_the_library():
     assert not called & kernels, called & kernels
 
 
+def test_cli_reads_no_sample_channel_by_name():
+    """cli.py copies sample_ray's (8, n) records whole: the channel order is
+    vsg's alone, so no attribute of cli.py is named after a channel."""
+    tree = ast.parse((ROOT / "src" / "sglight" / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("alpha", "intensity", "axis", "sharpness")]
+    assert found == []
+
+
 def test_cli_binds_no_module_level_number():
     """A size or tolerance belongs next to the library code it tunes, as
     brdf.CHUNK_NODES, vsg.CHUNK_POINTS and multiview.BAND_PX do: a number

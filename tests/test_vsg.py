@@ -120,14 +120,24 @@ class TestSampling:
         vol = constant_volume(0.25, [1.0, 2.0, 3.0], [0.0, 1.0, 0.0], 7.0)
         s = sample_ray(vol, [-2.0, 0.1, -0.2], normalize([1.0, 0.05, 0.1]),
                        n_r=16)
-        np.testing.assert_allclose(s.alpha, 0.25, rtol=1e-12)
-        np.testing.assert_allclose(s.sharpness, 7.0, rtol=1e-12)
+        np.testing.assert_allclose(s.records[0], 0.25, rtol=1e-12)
+        np.testing.assert_allclose(s.records[7], 7.0, rtol=1e-12)
         np.testing.assert_allclose(
-            s.intensity, np.broadcast_to([1.0, 2.0, 3.0], (16, 3)), rtol=1e-12
+            s.records[1:4].T, np.broadcast_to([1.0, 2.0, 3.0], (16, 3)), rtol=1e-12
         )
         np.testing.assert_allclose(
-            s.axis, np.broadcast_to([0.0, 1.0, 0.0], (16, 3)), atol=1e-12
+            s.records[4:7].T, np.broadcast_to([0.0, 1.0, 0.0], (16, 3)), atol=1e-12
         )
+
+    @pytest.mark.parametrize("n_r", [1, 37, 4097])
+    def test_records_are_one_channel_major_array(self, n_r):
+        """A hit's records are one C-ordered float64 (8, n_r) array, a miss's (8, 0)."""
+        vol = random_volume(np.random.default_rng(5))
+        hit = sample_ray(vol, [-2.0, 0.3, 0.1], normalize([1.0, -0.2, 0.05]), n_r=n_r)
+        miss = sample_ray(vol, [0.0, 5.0, 0.0], [0.0, 1.0, 0.0], n_r=n_r)
+        for s, n in ((hit, n_r), (miss, 0)):
+            assert s.records.shape == (8, n) and s.records.dtype == np.float64
+            assert s.records.flags.c_contiguous and s.t.shape == (n,)
 
     def test_miss_yields_empty(self):
         vol = constant_volume(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], 2.0)
@@ -144,7 +154,7 @@ class TestSampling:
         s = sample_ray(vol, [-2.0, 0.3, 0.1], normalize([1.0, -0.2, 0.05]),
                        n_r=32)
         np.testing.assert_allclose(
-            np.linalg.norm(s.axis, axis=-1), 1.0, rtol=1e-12
+            np.linalg.norm(s.records[4:7], axis=0), 1.0, rtol=1e-12
         )
 
     def test_vanishing_axis_falls_back_to_z(self):
@@ -202,9 +212,7 @@ def reference_records(vol, points):
 
 
 def ray_records(s):
-    return np.concatenate(
-        [s.alpha[:, None], s.intensity, s.axis, s.sharpness[:, None]], axis=1
-    )
+    return s.records.T
 
 
 class TestChunkedSampling:
@@ -326,9 +334,7 @@ class TestCompositing:
             l = normalize(rng.normal(size=3))
             eta = rng.uniform(0.1, 2.0, size=3)
             lam = rng.uniform(0.0, 40.0)
-            s = RaySampleSet(
-                np.array([1.0]), np.array([1.0]), eta[None, :], axis[None, :], np.array([lam]),
-            )
+            s = RaySampleSet(np.array([1.0]), np.array([1.0, *eta, *axis, lam])[:, None])
             before = composite_sg_before(s, l)
             after = composite_sg_after(s, l)
             expected = eta * np.exp(lam * (axis @ -l - 1.0))
@@ -359,9 +365,7 @@ class TestCompositing:
     def test_evaluates_toward_negative_direction(self):
         """The lobe argument is -l: a lobe facing the ray lights it."""
         axis = np.array([0.0, 0.0, 1.0])
-        s = RaySampleSet(
-            np.array([1.0]), np.array([1.0]), np.ones((1, 3)), axis[None, :], np.array([50.0]),
-        )
+        s = RaySampleSet(np.array([1.0]), np.array([1.0, 1.0, 1.0, 1.0, *axis, 50.0])[:, None])
         toward = composite_sg_before(s, [0.0, 0.0, -1.0])
         away = composite_sg_before(s, [0.0, 0.0, 1.0])
         np.testing.assert_allclose(toward, 1.0, rtol=1e-12)
@@ -372,13 +376,13 @@ def fsum_composites(s, l):
     """Both orders for one sample set, each sum over samples exact
     (math.fsum of the float64 per-sample terms) and each dot product too;
     the weights are compositing_weights'."""
-    w = compositing_weights(s.alpha).tolist()
+    w = compositing_weights(s.records[0]).tolist()
     minus_l = [-v for v in l]
     g = [math.exp(lam * (math.fsum(a * d for a, d in zip(ax, minus_l)) - 1.0))
-         for ax, lam in zip(s.axis.tolist(), s.sharpness.tolist())]
-    before = [math.fsum(wn * gn * i for wn, gn, i in zip(w, g, s.intensity[:, c].tolist()))
+         for ax, lam in zip(s.records[4:7].T.tolist(), s.records[7].tolist())]
+    before = [math.fsum(wn * gn * i for wn, gn, i in zip(w, g, s.records[1 + c].tolist()))
               for c in range(3)]
-    fields = np.column_stack([s.intensity, s.axis, s.sharpness]).T.tolist()
+    fields = s.records[1:].tolist()
     agg = [math.fsum(wn * v for wn, v in zip(w, row)) for row in fields]
     lobe = math.exp(agg[6] * (math.fsum(a * d for a, d in zip(agg[3:6], minus_l)) - 1.0))
     return np.array(before), np.array(agg[:3]) * lobe
@@ -409,12 +413,24 @@ class TestBatchedCompositing:
             s = sample_ray(vol, origins[i], dirs[i], n_r=n_r)
             assert np.array_equal(before[i], composite_sg_before(s, dirs[i]))
             assert np.array_equal(after[i], composite_sg_after(s, dirs[i]))
-            # a set built from row-major copies of the same fields composites
-            # to the same bits
-            copy = RaySampleSet(s.t, s.alpha.copy(), s.intensity.copy(), s.axis.copy(),
-                                s.sharpness.copy())
-            assert np.array_equal(before[i], composite_sg_before(copy, dirs[i]))
-            assert np.array_equal(after[i], composite_sg_after(copy, dirs[i]))
+
+    @pytest.mark.parametrize("n_r", [1, 37, 128, vsg.CHUNK_POINTS + 1])
+    def test_composites_independent_of_record_layout(self, n_r):
+        """sample_ray's C-ordered records, Fortran-ordered and (n, 8).T copies
+        and a strided view of them composite to the same bits in both orders."""
+        rng = np.random.default_rng(23)
+        vol = random_volume(rng, dims=(5, 4, 3))
+        origins, dirs = vsg._random_rays(vol, 3, rng)
+        for o, d in zip(origins, dirs):
+            s = sample_ray(vol, o, d, n_r=n_r)
+            layouts = [np.asfortranarray(s.records), np.ascontiguousarray(s.records.T).T,
+                       np.repeat(s.records, 2, axis=1)[:, ::2]]
+            if n_r > 1:
+                assert not any(r.flags.c_contiguous for r in layouts)
+            for one in (composite_sg_before, composite_sg_after):
+                want = one(s, d)
+                for records in layouts:
+                    assert np.array_equal(one(RaySampleSet(s.t, records), d), want)
 
     @pytest.mark.parametrize("n_r", [1, 37, 128])
     def test_within_ulps_of_exact_sums(self, n_r):
@@ -448,8 +464,7 @@ class TestCompositeRays:
         buf = np.full((8, rays + 3, n_r), np.nan)  # rows past the chunk are not read
         sets = [sample_ray(vol, origins[k], dirs[k], n_r=n_r) for k in range(rays)]
         for k, s in enumerate(sets):
-            buf[0, k], buf[1:4, k], buf[4:7, k], buf[7, k] = \
-                s.alpha, s.intensity.T, s.axis.T, s.sharpness
+            buf[:, k] = s.records
         got = composite_rays(buf[:, :rays], dirs, order)
         one = composite_sg_before if order == "before" else composite_sg_after
         assert got.shape == (rays, 3)
@@ -589,6 +604,24 @@ class TestDiskFormat:
         assert lines[0] == b"VSG1"
         assert lines[1] == b"2 2 2"
         assert len(lines[4]) == 2 * 2 * 2 * 8 * 4
+
+    def test_float32_overflow_refused_before_writing(self, tmp_path):
+        """A finite float64 value beyond float32, which load_vsg would refuse
+        as infinite, raises one ValueError and leaves no file."""
+        vol = constant_volume(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], 1e39)
+        path = tmp_path / "v.vsg"
+        with pytest.raises(ValueError, match="^volume data overflows the float32 range of VSG$"):
+            save_vsg(path, vol)
+        assert not path.exists()
+
+    def test_bbox_round_trips_at_full_precision(self, tmp_path):
+        """A box 1e-10 wide, which 9 significant digits would collapse, loads back exactly."""
+        vol = VsgVolume(np.full((1, 1, 1, 8), 0.5), [1.0000000001, 0.0, 0.0],
+                        [1.0000000002, 1.0, 1.0])
+        save_vsg(tmp_path / "v.vsg", vol)
+        back = load_vsg(tmp_path / "v.vsg")
+        assert back.bbox_min.tolist() == vol.bbox_min.tolist()
+        assert back.bbox_max.tolist() == vol.bbox_max.tolist()
 
     def test_truncated_rejected(self, tmp_path):
         vol = constant_volume(0.5, [1.0, 1.0, 1.0], [0.0, 0.0, 1.0], 2.0,
