@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sg import _frozen
+from ._arrays import _frozen
 
 
 @dataclass(frozen=True)

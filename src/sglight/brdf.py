@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._arrays import _as_unit, _dot, _frozen
 from .envmap import HdrImage
-from .sg import SgEnvironment, _as_unit, _dot, _equal_area_grid, _frozen, mixture_radiance
+from .sg import SgEnvironment, _equal_area_grid, mixture_radiance
 
 F0_DEFAULT = 0.04
 NORMAL_TOL = 1e-4
@@ -158,7 +159,7 @@ def specular_brdf(v, l, n, roughness: float) -> float:
     """Full microfacet BRDF value D * G2 * F / (4 (n.v)(n.l)).
 
     Scalar because F0 is scalar; zero when either direction is below the
-    horizon. Symmetric in v and l; its dot products are sg._dot's, not BLAS's.
+    horizon. Symmetric in v and l; its dot products are _arrays._dot's, not BLAS's.
     """
     if roughness <= 0.0:
         raise ValueError("roughness must be > 0 (delta lobes unsupported)")
@@ -370,7 +371,7 @@ def spec_encode(env: SgEnvironment, normal, view, roughness: float) -> SpecEncod
     mask_s = 1 iff the lobe has nonzero L1 intensity, its axis points
     above the surface (n . axis > 0, strict), and view + axis does not
     vanish (half vector defined). Half-vector features are zeroed for
-    masked lobes with an undefined half vector. Every dot product is sg._dot's.
+    masked lobes with an undefined half vector. Every dot product is _arrays._dot's.
     """
     n = _as_unit(normal)
     v = _as_unit(view)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sg import SgEnvironment, _frozen, _pixel_visibility, mixture_radiance, spherical_to_unit
+from ._arrays import _frozen
+from .sg import SgEnvironment, _pixel_visibility, mixture_radiance, spherical_to_unit
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from ._arrays import _frozen
+
 if TYPE_CHECKING:
     from .brdf import GBuffer
 
@@ -61,13 +63,9 @@ class CameraView:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-        rot = np.array(self.rotation, dtype=np.float64)
-        trans = np.array(self.translation, dtype=np.float64)
-        if rot.shape != (3, 3) or trans.shape != (3,):
-            raise ValueError("pose must be a (3, 3) rotation and 3-vector")
-        params = np.r_[self.fx, self.fy, self.cx, self.cy, rot.ravel(), trans]
-        if not np.all(np.isfinite(params)):
-            raise ValueError("intrinsics and pose must be finite")
+        _frozen([self.fx, self.fy, self.cx, self.cy], "intrinsics")
+        rot = _frozen(self.rotation, "rotation", shape=(3, 3))
+        trans = _frozen(self.translation, "translation", shape=(3,))
         # an entry above 1 + 1e-6 already breaks orthonormality, and
         # checking it first keeps rot @ rot.T from overflowing
         if np.max(np.abs(rot)) > 1.0 + 1e-6 or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6:
@@ -81,21 +79,13 @@ class CameraView:
             y = (np.array([0.5, self.height - 0.5]) - self.cy) / self.fy
             if not np.all(np.isfinite(x[:, None] ** 2 + y**2 + 1.0)):
                 raise ValueError("intrinsics overflow the pixel rays")
-        rot.flags.writeable = False
-        trans.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
         for name in ("image", "depth", "confidence"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.array(arr, dtype=np.float64)
                 shape = (self.height, self.width) + ((3,) if name == "image" else ())
-                if arr.shape != shape:
-                    raise ValueError(f"camera {name} map is {arr.shape}, not {shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"camera {name} map must be finite")
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, _frozen(arr, f"camera {name} map", shape=shape))
 
     @property
     def center(self) -> np.ndarray:
@@ -220,18 +210,20 @@ def bilinear_lookup(img: np.ndarray, u, v):
 def depth_projection_errors(mvs: MultiViewSet, pixels) -> np.ndarray:
     """Consistency errors e_k = |d_k - z_k| for target pixels, (..., K).
 
-    pixels (..., 2) holds (row, col) pairs; every view needs a depth map,
-    and the target's must be positive at all of them. The point cloud is
-    projected into each view once; entry k covers view k (the target's
-    own, looked up at the pixel center, is ~0). Out-of-frame or
+    pixels (..., 2) holds whole (row, col) indices inside the target image;
+    every view needs a depth map, the target's positive at each pixel. The
+    point cloud is projected into each view once; entry k covers view k (the
+    target's own, looked up at the pixel center, is ~0). Out-of-frame or
     behind-camera projections give +inf.
     """
     for k, view in enumerate(mvs.views):
         if view.depth is None:
             raise ValueError(f"view {k} has no depth map")
     tview = mvs.views[mvs.target]
-    pixels = np.asarray(pixels).astype(np.int64)
-    row, col = pixels[..., 0], pixels[..., 1]
+    pixels = np.asarray(pixels)
+    if not np.all((pixels == np.floor(pixels)) & (pixels >= 0) & (pixels < tview.depth.shape)):
+        raise ValueError("target pixels must be whole (row, col) indices inside the image")
+    row, col = np.moveaxis(pixels.astype(np.int64), -1, 0)
     d_t = tview.depth[row, col]
     if np.any(d_t <= 0.0):
         raise ValueError("target pixel has no valid depth")

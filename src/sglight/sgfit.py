@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import _as_unit, _dot, _frozen
 from .envmap import EnvironmentMap, grid_directions, solid_angle_weights
 from .sg import (
     SgEnvironment,
     SphericalGaussian,
-    _as_unit,
-    _dot,
-    _frozen,
     lobe_values,
     mixture_radiance,
     sg_radiance,

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sg import _as_unit, _dot, _frozen, lobe_values, sg_radiance
+from ._arrays import _as_unit, _dot, _frozen
+from .sg import lobe_values, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"

@@ -151,13 +151,13 @@ _CLI_MODULES = {"sglight", "sglight.cli", "sglight.pfm"}
 # command -> (sglight modules beyond _CLI_MODULES, other tracked modules it loads)
 _COMMAND_IMPORTS = {
     "metrics": ({"metrics"}, []),
-    "fit": ({"envmap", "sg", "sgfit"}, []),
-    "render": ({"scene", "sg", "brdf", "envmap", "multiview"}, []),
-    "render-threads": ({"scene", "sg", "brdf", "envmap", "multiview"},
+    "fit": ({"_arrays", "envmap", "sg", "sgfit"}, []),
+    "render": ({"_arrays", "scene", "sg", "brdf", "envmap", "multiview"}, []),
+    "render-threads": ({"_arrays", "scene", "sg", "brdf", "envmap", "multiview"},
                        ["concurrent.futures"]),
-    "vsg-trace": ({"scene", "sg", "vsg", "multiview"}, []),
-    "bench-order": ({"scene", "sg", "vsg", "multiview"}, ["csv"]),
-    "reproject": ({"scene", "multiview"}, []),
+    "vsg-trace": ({"_arrays", "scene", "sg", "vsg", "multiview"}, []),
+    "bench-order": ({"_arrays", "scene", "sg", "vsg", "multiview"}, ["csv"]),
+    "reproject": ({"_arrays", "scene", "multiview"}, []),
 }
 
 

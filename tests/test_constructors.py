@@ -2,6 +2,7 @@
 by constructors and domain checks."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -101,6 +102,23 @@ def test_camera_rejects_non_finite_intrinsics_and_pose(field, index, bad):
         args[field][index] = bad
     with pytest.raises(ValueError):
         CameraView(**args)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cx", np.inf, "intrinsics must be finite"),
+    ("rotation", np.full((3, 3), np.nan), "rotation must be finite"),
+    ("translation", np.zeros(4), "translation must have shape (3,), got (4,)"),
+    ("translation", np.array([0.0, -np.inf, 0.0]), "translation must be finite"),
+    ("image", np.zeros((2, 3)), "camera image map must have shape (2, 3, 3), got (2, 3)"),
+    ("depth", np.ones((3, 2)), "camera depth map must have shape (2, 3), got (3, 2)"),
+], ids=["intrinsics", "rotation-finite", "translation-shape", "translation-finite",
+        "image-shape", "depth-shape"])
+def test_camera_messages_name_the_array_at_fault(field, value, message):
+    """CameraView checks its intrinsics, pose and maps with the shared
+    _frozen, so each message is _frozen's and names the one array (the
+    rotation's shape message is the input-check case multiview-pose-shape)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CameraView(**{**_camera_args(), field: value})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -105,7 +105,7 @@ CASES = {
         ValueError, "mask must have one entry per pixel"),
     "multiview-pose-shape": (
         lambda d: _camera(rotation=np.eye(2)),
-        ValueError, "pose must be a (3, 3) rotation and 3-vector"),
+        ValueError, "rotation must have shape (3, 3), got (2, 2)"),
     "multiview-view-type": (
         lambda d: MultiViewSet((_camera(), "camera")),
         TypeError, "views must be CameraView instances"),

@@ -273,6 +273,18 @@ class TestDepthError:
         with pytest.raises(ValueError):
             depth_projection_error(MultiViewSet((cam, cam)), (0, 0))
 
+    @pytest.mark.parametrize("pixel", [(-1, 0), (1.7, 0.2), (4, 0)],
+                             ids=["negative-row-wraps", "fraction-truncates", "past-last-row"])
+    def test_pixel_must_be_a_whole_index_inside_the_target(self, pixel):
+        """Numpy indexing would wrap a negative row to the last one, truncate
+        a fraction or raise IndexError past the edge; each is refused as a
+        ValueError before any depth is read. The in-frame neighbour works."""
+        mvs = posed_views(size=4, target=0)
+        with pytest.raises(ValueError, match=r"^target pixels must be whole \(row, col\) "
+                                             r"indices inside the image$"):
+            depth_projection_errors(mvs, pixel)
+        assert depth_projection_errors(mvs, (1, 0))[0] < 1e-12
+
 
 class TestBatchedReprojection:
     """The whole-view kernel agrees exactly with its one-pixel case."""

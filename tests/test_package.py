@@ -197,9 +197,53 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert default_only == []
 
 
+SHARED = {"UNIT_TOL", "_as_unit", "_dot", "_frozen"}
+
+
+def test_the_array_helpers_live_in_one_leaf_module():
+    """_arrays imports only numpy, is the one module that defines the shared
+    array helpers, and no file imports them through sg."""
+    tree = ast.parse((ROOT / "src" / "sglight" / "_arrays.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported == {"numpy", "__future__"}
+    defined, through_sg = [], []
+    for path in sorted((ROOT / "src" / "sglight").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.stem}.{name}" for name in names if name in SHARED]
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in ("sg", "sglight.sg"):
+                    through_sg += [f"{path.name}:{node.lineno} {alias.name}"
+                                   for alias in node.names if alias.name in SHARED]
+    assert sorted(defined) == sorted(f"_arrays.{name}" for name in SHARED)
+    assert through_sg == []
+
+
+@pytest.mark.parametrize("module", ["multiview", "aggregation"])
+def test_module_loads_no_sg(module):
+    """multiview and aggregation check their arrays through _arrays, so a
+    fresh import of either loads no SG code."""
+    code = (
+        f"import sys, sglight.{module}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'sglight')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sglight", "sglight._arrays", f"sglight.{module}"]
+
+
 def test_no_contraction_is_handed_to_blas():
     """No np.einsum in src/ passes optimize=, and nothing calls np.tensordot
-    or a dot (np.dot or an array's .dot): sg._dot sums three-term dot products.
+    or a dot (np.dot or an array's .dot): _arrays._dot sums three-term dot products.
 
     All can hand a contraction to BLAS, whose blocking and thread count
     change the last bits of a sum, so outputs would depend on the host.

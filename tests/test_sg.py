@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sglight._arrays import _dot
 from sglight.brdf import hemisphere_grid
 from sglight.sg import (
     SgEnvironment,
     SphericalGaussian,
-    _dot,
     eval_mixture,
     eval_sg,
     integrate_sg_sphere,
@@ -247,7 +247,7 @@ def exact_dot(a, b):
 
 
 class TestDot:
-    """sg._dot, the one three-term dot product, against exact sums.
+    """_arrays._dot, the one three-term dot product, against exact sums.
 
     Summing three rounded products in any fixed order stays within
     gamma_3 * sum_i |a_i b_i| of the exact dot, gamma_3 = 3u / (1 - 3u)

@@ -119,11 +119,18 @@ class TestGradients:
 
     def test_within_a_few_eps_of_the_blas_dots(self):
         """1000 random lobes and directions against the partials with their
-        dot products taken by BLAS `@`, as sglight once did. Both dots lie
-        within gamma_3 * sum_i |l_i x_i| of the exact one (see test_sg's
-        TestDot), so each field moves by at most 4 eps of its scale
-        |factor| * (sum_i |l_i x_i| + 1) (measured: 1.7 eps); the intensity
-        partial, which lobe_values gives, is unchanged."""
+        dot products summed in a second fixed order, (l0*x0 + l1*x1) + l2*x2,
+        where sglight once took BLAS `@`. Both dots lie within
+        gamma_3 * sum_i |l_i x_i| of the exact one (see test_sg's TestDot),
+        so each field moves by at most 4 eps of its scale
+        |factor| * (sum_i |l_i x_i| + 1) (measured: 1.5 eps); the intensity
+        partial, which lobe_values gives, is unchanged. The second order is
+        written here, not taken from BLAS, whose kernel may sum in _dot's own
+        order, so the premise that the two sums round differently holds on
+        any CPU."""
+        def dot(a, b):
+            return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
         eps = np.finfo(np.float64).eps
         rng = np.random.default_rng(8)
         moved = 0
@@ -135,14 +142,14 @@ class TestGradients:
             d_theta, d_phi = sgfit._axis_partials(*unit_to_spherical(lobe.axis))
             e = float(lobe_values(lobe.axis, lobe.sharpness, l))
             d_axis = lobe.sharpness * lobe.intensity * e
-            blas = {"sharpness": lobe.intensity * (float(l @ lobe.axis) - 1.0) * e,
-                    "theta": d_axis * float(l @ d_theta), "phi": d_axis * float(l @ d_phi)}
+            other = {"sharpness": lobe.intensity * (dot(l, lobe.axis) - 1.0) * e,
+                     "theta": d_axis * dot(l, d_theta), "phi": d_axis * dot(l, d_phi)}
             assert got["intensity"] == e
             for key, factor, x in (("sharpness", lobe.intensity * e, lobe.axis),
                                    ("theta", d_axis, d_theta), ("phi", d_axis, d_phi)):
                 scale = np.abs(factor) * (np.sum(np.abs(l * x)) + 1.0)
-                assert np.all(np.abs(got[key] - blas[key]) <= 4 * eps * scale), key
-                moved += int(np.any(got[key] != blas[key]))
+                assert np.all(np.abs(got[key] - other[key]) <= 4 * eps * scale), key
+                moved += int(np.any(got[key] != other[key]))
         assert moved > 0  # the two sums do round differently
 
     @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (1, 1, 3)])
