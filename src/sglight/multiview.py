@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._arrays import _frozen
+from ._arrays import _dot, _frozen
 
 if TYPE_CHECKING:
     from .brdf import GBuffer
@@ -66,9 +66,9 @@ class CameraView:
         _frozen([self.fx, self.fy, self.cx, self.cy], "intrinsics")
         rot = _frozen(self.rotation, "rotation", shape=(3, 3))
         trans = _frozen(self.translation, "translation", shape=(3,))
-        # an entry above 1 + 1e-6 already breaks orthonormality, and
-        # checking it first keeps rot @ rot.T from overflowing
-        if np.max(np.abs(rot)) > 1.0 + 1e-6 or np.max(np.abs(rot @ rot.T - np.eye(3))) > 1e-6:
+        # an entry above 1 + 1e-6 breaks orthonormality; checked first, R R^T cannot overflow
+        if (np.max(np.abs(rot)) > 1.0 + 1e-6
+                or np.max(np.abs(_dot(rot[:, None, :], rot) - np.eye(3))) > 1e-6):
             raise ValueError("rotation must be orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > 1e-6:
             raise ValueError("rotation must have determinant 1")
@@ -90,22 +90,20 @@ class CameraView:
     @property
     def center(self) -> np.ndarray:
         """World-space camera center -R^T t."""
-        return -self.rotation.T @ self.translation
+        return -_dot(self.translation, self.rotation.T)
 
     def pixel_rays(self, rows=slice(None)) -> np.ndarray:
         """Unit world directions through the centers of a band of pixel rows, (rows, W, 3).
 
-        Each ray is normalized by its own (1, 3) @ (3, 1) and rotated by its own
-        (3, 3) @ (3, 1) product: the bits of R^T (r / np.linalg.norm(r)) for one
-        ray, which a norm over an axis or one (N, 3) @ (3, 3) gemm would not keep.
+        Lengths and rotations are _dot's fixed-order sums, so a band and one ray round alike.
         """
         ii = np.arange(self.height)[rows]
         r = np.empty((ii.size, self.width, 3))
         r[..., 0] = (np.arange(self.width) + 0.5 - self.cx) / self.fx
         r[..., 1] = ((ii + 0.5 - self.cy) / self.fy)[:, None]
         r[..., 2] = 1.0
-        r /= np.sqrt(r[..., None, :] @ r[..., :, None])[..., 0]
-        return (self.rotation.T @ r[..., None])[..., 0]
+        r /= np.sqrt(_dot(r, r))[..., None]
+        return _dot(r[..., None, :], self.rotation.T)
 
     def project(self, points):
         """World points (..., 3) -> (u, v, dist, valid).
@@ -117,14 +115,13 @@ class CameraView:
         """
         p = np.asarray(points, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            # one (1, 3) @ (3, 3) per point: a batched gemm would round differently
-            p_cam = (p[..., None, :] @ self.rotation.T)[..., 0, :] + self.translation
+            p_cam = _dot(p[..., None, :], self.rotation) + self.translation
             z = p_cam[..., 2]
             valid = z > 0.0
             safe_z = np.where(valid, z, 1.0)
             u = self.fx * p_cam[..., 0] / safe_z + self.cx
             v = self.fy * p_cam[..., 1] / safe_z + self.cy
-            dist = np.linalg.norm(p_cam, axis=-1)
+            dist = np.sqrt(_dot(p_cam, p_cam))
         return u, v, dist, valid
 
     def unproject(self, u, v, dist):
@@ -134,14 +131,12 @@ class CameraView:
         dist = np.asarray(dist, dtype=np.float64)
         if not np.all(dist > 0.0):
             raise ValueError("distance must be > 0")
-        ray = np.stack(
-            [(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)],
-            axis=-1,
-        )
-        ray /= np.linalg.norm(ray, axis=-1, keepdims=True)
+        ray = np.stack([(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)],
+                       axis=-1)
+        ray /= np.sqrt(_dot(ray, ray))[..., None]
         p_cam = ray * dist[..., None]
         with np.errstate(over="ignore"):  # a pose far beyond float64 gives inf points
-            return ((p_cam - self.translation)[..., None, :] @ self.rotation)[..., 0, :]
+            return _dot((p_cam - self.translation)[..., None, :], self.rotation.T)
 
 
 @dataclass(frozen=True)
@@ -351,12 +346,15 @@ def splat_visible_surface(
         raise ValueError("camera view needs an image to splat")
     if variant == "confidence" and g.confidence is None:
         raise ValueError("confidence variant needs gbuffer confidence")
+    h, w = g.shape
+    if (cam.height, cam.width) != (h, w):
+        raise ValueError(f"gbuffer is {w}x{h} but the camera is {cam.width}x{cam.height}")
     # one lookup samples every plane: depth, the confidence variant's C, then the features
     head = [g.depth[..., None]] + ([g.confidence[..., None]] if variant == "confidence" else [])
     stack = head + [cam.image, g.normal, g.albedo, g.roughness[..., None]]
     if extras is not None:
         extras = np.asarray(extras, dtype=np.float64)
-        if extras.shape[:2] != g.shape:
+        if extras.ndim != 3 or extras.shape[:2] != (h, w):
             raise ValueError("extras must match the gbuffer size")
         stack.append(extras)
     u, v, dist, valid = cam.project(voxel_centers(dims, bbox_min, bbox_max))

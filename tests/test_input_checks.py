@@ -121,6 +121,12 @@ CASES = {
     "multiview-splat-extras": (
         lambda d: _splat(extras=np.ones((3, 2, 1))),
         ValueError, "extras must match the gbuffer size"),
+    "multiview-splat-extras-rank": (
+        lambda d: _splat(extras=np.ones((2, 3))),
+        ValueError, "extras must match the gbuffer size"),
+    "multiview-splat-camera-size": (
+        lambda d: _splat(cam=_camera(width=4, height=2, image=np.full((2, 4, 3), 0.2))),
+        ValueError, "gbuffer is 3x2 but the camera is 4x2"),
     "pfm-empty-image": (
         lambda d: write_pfm(d / "empty.pfm", np.zeros((0, 3), dtype=np.float32)),
         ValueError, "image must have positive dimensions"),

@@ -8,7 +8,9 @@ stderr. `bench-order`'s CSV is hashed without its measured seconds column,
 and `fit`'s lobes are compared by value within the cross-host bound of
 README (SIMD_LOBE_RTOL), with the same iteration count. The whole ledger
 runs again in a child process with numpy's dispatched SIMD groups
-disabled, where it must give the same table.
+disabled, and in one child per OpenBLAS kernel the host can run, forced
+by OPENBLAS_CORETYPE; each must give the same table, fit's lobes within
+BLAS_LOBE_RTOL under a forced kernel.
 
 A change that alters output bytes on purpose updates the table (print the
 current one with `PYTHONPATH=src python tests/test_ledger.py`) and names
@@ -46,8 +48,8 @@ from test_cli import (
 LEDGER = {
     "bench-order": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "bench.csv": "6ccb1abaf1f91a9aefe7c662285fe9077321eaf73ecf1103a77af82253cea635",
-    "e0.pfm": "059ecad2d4a68eef6db3de12e43dc53aa92412cef4058df0dc802a2515ac9abd",
-    "e2.pfm": "1c8f731e404f1a8076a93ea912b661a3cb49be569d949722315e519b1da71822",
+    "e0.pfm": "f57faec0b7f35c811fe07409789f7b43dffee941c3aea2413e3cd731a5fd7443",
+    "e2.pfm": "ae81815c03cb3ea86ef46946cb9070e2ac66fab40de07a86cfb9117e8ad51c4d",
     "fit": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "m0.txt": "c2ada79574d34931466ae09bdc43b328162c92e222038b2d9a46d91a9d715ca8",
     "m2.txt": "a066c28d027a46fc3e3f115bf2b815776e5eed13399768069d964a7ac3797a6e",
@@ -76,8 +78,8 @@ LEDGER = {
     "v_before.pfm": "0253ac50a240cf5c161a7be1604def34a7470c78ec1f2d016ba80c3fc30c1d81",
     "vsg-trace-after": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "vsg-trace-before": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
-    "w0.pfm": "4ff55f671afb2aa34ce0c3153a195c736c6b43e68fa6235b51644f9c3055525f",
-    "w2.pfm": "e7610b915726051d74e4f9ebc8cab33bc701f96c65af9e7bc53835d3b33ae317",
+    "w0.pfm": "f585b1503921b16d4aac0a81abf3227b5c798249e01e12614aee0243b82e2a20",
+    "w2.pfm": "76a1e3bf170c8369b488f510319d0588b89e6a642f524cb2a12b772b0d13d8d0",
 }
 # fit's written lobes (ax ay az sharpness ir ig ib) and loss; its
 # iterations and converged keys are exact
@@ -91,6 +93,13 @@ FIT_LOBES = [
 ]
 FIT_LOSS = 1.5373892742636953e-05
 FIT_TAGS = {"iterations": "7", "converged": "1"}
+# fit's lobes and loss across forced OpenBLAS kernels, relative per value:
+# fit_sg's normal equations are BLAS products, and the ledger fit moved by at
+# most 4.84e-15 under Haswell and Nehalem kernels, at the same iterations
+BLAS_LOBE_RTOL = 1e-14
+# the OpenBLAS kernels the forced-kernel test tries, with the CPU features each needs
+BLAS_KERNELS = {"Haswell": ("AVX2", "FMA3"), "SandyBridge": ("AVX",), "Nehalem": ("SSE42",),
+                "Prescott": ("SSE3",)}
 
 
 def write_inputs(d):
@@ -185,16 +194,27 @@ def ledger(calls, out, env=None):
     return table, (out / "lobes.txt").read_text()
 
 
-def check(table, lobes_text):
-    """Every entry of LEDGER, by name, and fit's lobes within SIMD_LOBE_RTOL."""
+def check(table, lobes_text, rtol=SIMD_LOBE_RTOL):
+    """Every entry of LEDGER, by name, and fit's lobes and loss within rtol."""
     assert sorted(table) == sorted(LEDGER)
     changed = [name for name in sorted(LEDGER) if table[name] != LEDGER[name]]
     assert changed == [], f"outputs changed: {changed}"
     lobes, loss, tags = _fit_numbers(lobes_text)
     assert tags == FIT_TAGS
-    assert abs(loss - FIT_LOSS) <= SIMD_LOBE_RTOL * FIT_LOSS
+    assert abs(loss - FIT_LOSS) <= rtol * FIT_LOSS
     want = np.array(FIT_LOBES)
-    assert np.all(np.abs(lobes - want) <= SIMD_LOBE_RTOL * np.abs(want)), lobes
+    assert np.all(np.abs(lobes - want) <= rtol * np.abs(want)), lobes
+
+
+def _dynamic_openblas():
+    """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, which picks its
+    kernels by CPU at run time and lets OPENBLAS_CORETYPE force them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +241,23 @@ def test_ledger_holds_without_dispatched_simd(inputs):
                NPY_DISABLE_CPU_FEATURES=" ".join(_simd_groups()[1]))
     env["PYTHONPATH"] = str(pathlib.Path(sglight.__file__).parents[1])
     check(*ledger(calls, out, env))
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not OpenBLAS built "
+                                                    "with DYNAMIC_ARCH")
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_ledger_holds_under_each_openblas_kernel(inputs, kernel):
+    """Only fit hands its sums to BLAS, so every other output keeps its bytes
+    whichever kernels OpenBLAS picks for the host's CPU."""
+    umath = _simd_groups()[0]
+    if not all(umath.__cpu_features__.get(f) for f in BLAS_KERNELS[kernel]):
+        pytest.skip(f"this host cannot run OpenBLAS's {kernel} kernels")
+    d, calls = inputs
+    out = d / f"blas-{kernel}"
+    out.mkdir()
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(pathlib.Path(sglight.__file__).parents[1]))
+    check(*ledger(calls, out, env), BLAS_LOBE_RTOL)
 
 
 if __name__ == "__main__":  # print the current table, to update LEDGER and FIT_*

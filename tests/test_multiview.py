@@ -115,10 +115,12 @@ def random_rotation(rng):
 
 
 def one_ray(cam, i, j):
-    """The per-pixel build: normalize the camera-frame ray, then rotate it."""
-    ray = np.array([(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0])
-    ray /= np.linalg.norm(ray)
-    return cam.rotation.T @ ray
+    """The per-pixel build: normalize the camera-frame ray, then rotate it by R^T,
+    each three-term sum written out in the fixed order (r0*c0 + r2*c2) + r1*c1."""
+    x, y = (j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy
+    ray = np.array([x, y, 1.0]) / np.sqrt((x * x + 1.0) + y * y)
+    R = cam.rotation
+    return np.array([(ray[0] * R[0, k] + ray[2] * R[2, k]) + ray[1] * R[1, k] for k in range(3)])
 
 
 class TestPixelRays:

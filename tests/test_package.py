@@ -260,6 +260,38 @@ def test_no_contraction_is_handed_to_blas():
     assert found == []
 
 
+# (module, function) of every product still handed to BLAS by @ or a call named matmul
+BLAS_PRODUCTS = {
+    ("aggregation", "_attention_probs"), ("aggregation", "masked_attention"),
+    ("aggregation", "weighted_attention"), ("aggregation", "mean_variance_aggregate"),
+    ("sg", "mixture_radiance"),
+    ("sgfit", "_objective_parts"), ("sgfit", "_normal_equations"), ("sgfit", "_box_lsq"),
+    ("sgfit", "fit_visibility"),
+    ("vsg", "_interp_records"),  # the integer stride @ i0, which is exact
+}
+
+
+def test_every_blas_product_is_named():
+    """The functions holding an @ or a matmul call are exactly BLAS_PRODUCTS.
+
+    BLAS picks its kernels by CPU, so a product added elsewhere (in
+    CameraView, say) would make that code's bytes follow the host.
+    """
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function: ast.walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and "matmul" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                found.add((path.stem, owner.get(node, "<module>")))
+    assert found == BLAS_PRODUCTS
+
+
 def test_cli_leaves_the_band_loops_to_the_library():
     """cli.py starts no thread and calls no per-band kernel: brdf.render and
     multiview.consistency_maps own the band loops, so a library caller gets
