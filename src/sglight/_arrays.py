@@ -1,6 +1,6 @@
 """Array helpers every sglight module shares: the unit-vector check, frozen
-constructor inputs and the one three-term dot product. Imports only numpy,
-so multiview and aggregation load no SG code for them."""
+constructor inputs and _dot, the one three-term dot product, which sums every
+vector length. Imports only numpy, so multiview and aggregation load no SG code."""
 
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ def _as_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1] != 3:
         raise ValueError(f"expected 3-vector(s), got shape {v.shape}")
-    n = np.linalg.norm(v, axis=-1)
-    if not (np.abs(n - 1.0) <= UNIT_TOL).all():  # .all(), not np.all: vsg-trace checks every ray
+    # .all(), not np.all: vsg-trace checks every ray; |v_i| > 1 + UNIT_TOL fails before squaring
+    if not ((np.abs(v) <= 1.0 + UNIT_TOL).all()
+            and (np.abs(np.sqrt(_dot(v, v)) - 1.0) <= UNIT_TOL).all()):
         raise ValueError("direction is not unit length")
     return v
 

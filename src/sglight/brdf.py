@@ -48,7 +48,7 @@ class GBuffer:
         rough = _frozen(self.roughness, "roughness", 0.0, 1.0, shape)
         normal = _frozen(self.normal, "normal", shape=shape + (3,))
         depth = _frozen(self.depth, "depth", shape=shape)
-        if np.any(np.abs(np.linalg.norm(normal, axis=-1) - 1.0) > NORMAL_TOL):
+        if np.any(np.abs(np.sqrt(_dot(normal, normal)) - 1.0) > NORMAL_TOL):
             raise ValueError("normals must be unit length")
         if np.any(depth <= 0.0):
             raise ValueError("depth must be > 0")
@@ -95,10 +95,8 @@ def reflect(v, n) -> np.ndarray:
 
 def half_vector(v, l) -> np.ndarray:
     """normalize(v + l); rejects the antipodal case."""
-    v = _as_unit(v)
-    l = _as_unit(l)
-    h = v + l
-    n = np.linalg.norm(h, axis=-1, keepdims=True)
+    h = _as_unit(v) + _as_unit(l)
+    n = np.sqrt(_dot(h, h))[..., None]
     if np.any(n < 1e-9):
         raise ValueError("half vector undefined for antipodal inputs")
     return h / n

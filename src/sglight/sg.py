@@ -20,10 +20,12 @@ from ._arrays import UNIT_TOL, _as_unit, _dot, _frozen
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit length along the last axis."""
+    """Return the 3-vectors v scaled to unit length along the last axis."""
     v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"expected 3-vector(s), got shape {v.shape}")
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        n = np.sqrt(_dot(v, v))[..., None]
     if np.any(n == 0.0):
         raise ValueError("cannot normalize a zero vector")
     if not np.isfinite(n).all():  # a NaN norm fails this test too
@@ -61,8 +63,8 @@ class SphericalGaussian:
 
     def __post_init__(self):
         axis = _frozen(self.axis, "axis", shape=(3,))
-        # a component above 1 + UNIT_TOL fails anyway and could overflow the norm
-        if np.any(np.abs(axis) > 1.0 + UNIT_TOL) or abs(np.linalg.norm(axis) - 1.0) > UNIT_TOL:
+        # a component above 1 + UNIT_TOL fails anyway and could overflow the squares
+        if np.any(np.abs(axis) > 1.0 + UNIT_TOL) or abs(np.sqrt(_dot(axis, axis)) - 1.0) > UNIT_TOL:
             raise ValueError("axis must be unit length")
         sharp = float(_frozen(self.sharpness, "sharpness", lo=0.0, shape=()))
         inten = _frozen(self.intensity, "intensity", lo=0.0, shape=(3,))

@@ -30,6 +30,7 @@ from .sg import (
     SphericalGaussian,
     lobe_values,
     mixture_radiance,
+    normalize,
     sg_radiance,
     spherical_to_unit,
     unit_to_spherical,
@@ -95,8 +96,7 @@ def sg_gradients(lobe: SphericalGaussian, direction) -> dict:
 def _env_from_params(p: np.ndarray) -> SgEnvironment:
     lobes = []
     for row in p:
-        axis = spherical_to_unit(row[4], row[5])
-        axis = axis / np.linalg.norm(axis)
+        axis = normalize(spherical_to_unit(row[4], row[5]))
         lobes.append(SphericalGaussian(axis, float(np.exp(row[3])), np.exp(row[0:3])))
     return SgEnvironment(tuple(lobes))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import _as_unit, _dot, _frozen
-from .sg import lobe_values, sg_radiance
+from .sg import lobe_values, normalize, sg_radiance
 
 VSG_MAGIC = "VSG1"
 CHANNEL_ORDER = "alpha intensity axis sharpness"
@@ -309,9 +309,7 @@ def _random_rays(vol: VsgVolume, count: int, rng) -> tuple:
     """
     span = vol.bbox_max - vol.bbox_min
     origins = vol.bbox_min + rng.random((count, 3)) * span
-    dirs = rng.normal(size=(count, 3))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    return origins, dirs
+    return origins, normalize(rng.normal(size=(count, 3)))
 
 
 def bench_orders(vol: VsgVolume, rays: int = 100000, n_r: int = 128, seed: int = 0) -> dict:

@@ -1,5 +1,5 @@
 """One case per input check that no other test reaches: each call must fail
-with its check's own exception and message."""
+with its check's own exception and message, with no warning before it."""
 
 import re
 
@@ -14,7 +14,7 @@ from sglight.aggregation import (
     mean_variance_aggregate,
     positional_encode,
 )
-from sglight.brdf import GBuffer, render_diffuse
+from sglight.brdf import GBuffer, half_vector, render_diffuse
 from sglight.envmap import HdrImage
 from sglight.metrics import g1_angular
 from sglight.multiview import (
@@ -24,7 +24,7 @@ from sglight.multiview import (
     splat_visible_surface,
 )
 from sglight.pfm import write_pfm
-from sglight.sg import SgEnvironment, SphericalGaussian, eval_mixture, sphere_grid
+from sglight.sg import SgEnvironment, SphericalGaussian, eval_mixture, normalize, sphere_grid
 from sglight.sgfit import fit_visibility
 from sglight.vsg import VsgVolume, bench_orders, sample_ray
 
@@ -94,6 +94,13 @@ CASES = {
     "aggregation-positional-rank": (
         lambda d: positional_encode(np.ones((2, 2)), 2),
         ValueError, "positional_encode expects a scalar or a vector"),
+    # a component far above 1 is rejected before squaring, which would overflow
+    "arrays-unit-huge-component": (
+        lambda d: sample_ray(_volume(), -2.0 * UP, [1e200, 0.0, 0.0]),
+        ValueError, "direction is not unit length"),
+    "arrays-unit-huge-pair": (
+        lambda d: half_vector(UP, [1e155, 1e155, 0.0]),
+        ValueError, "direction is not unit length"),
     "brdf-visibility-shape": (
         lambda d: render_diffuse(_gbuffer(), _env(np.ones((3, 2, 1))), (2, 4)),
         ValueError, "visibility leading shape must match the image"),
@@ -136,6 +143,10 @@ CASES = {
     "sg-visibility-row": (
         lambda d: eval_mixture(_env(np.ones((2, 3, 1))), UP, pixel=0),
         ValueError, "pixel index must select one visibility row"),
+    # its length sums three components, so a fourth would be dropped
+    "sg-normalize-shape": (
+        lambda d: normalize(np.ones(4)),
+        ValueError, "expected 3-vector(s), got shape (4,)"),
     "sg-grid-resolution": (
         lambda d: sphere_grid(0, 8),
         ValueError, "resolution must be positive"),
@@ -157,6 +168,7 @@ CASES = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_check_rejects_with_its_message(case, tmp_path):
     call, exc, message = CASES[case]

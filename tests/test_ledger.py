@@ -10,7 +10,8 @@ README (SIMD_LOBE_RTOL), with the same iteration count. The whole ledger
 runs again in a child process with numpy's dispatched SIMD groups
 disabled, and in one child per OpenBLAS kernel the host can run, forced
 by OPENBLAS_CORETYPE; each must give the same table, fit's lobes within
-BLAS_LOBE_RTOL under a forced kernel.
+BLAS_LOBE_RTOL under a forced kernel. The lobes fit builds from its
+parameters keep their bytes under every forced kernel.
 
 A change that alters output bytes on purpose updates the table (print the
 current one with `PYTHONPATH=src python tests/test_ledger.py`) and names
@@ -84,7 +85,7 @@ LEDGER = {
 # fit's written lobes (ax ay az sharpness ir ig ib) and loss; its
 # iterations and converged keys are exact
 FIT_LOBES = [
-    [0.30868933664479664, -0.20757709518509143, 0.9282363077343586, 12.009723154782014,
+    [0.3086893366447967, -0.20757709518509146, 0.9282363077343587, 12.009723154782014,
      1.4998697307563682, 1.004121357617533, 0.6033263636095038],
     [-0.8090072616526306, 0.5762709410643382, 0.11584063655787818, 30.0770633235396,
      0.3941532198997055, 0.797615157296951, 1.1810334148263961],
@@ -217,6 +218,16 @@ def _dynamic_openblas():
             and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
 
 
+def _kernel_env(kernel):
+    """The environment of a child process forced onto the given OpenBLAS kernel,
+    one thread, importing this sglight; skips the test if the CPU cannot run it."""
+    umath = _simd_groups()[0]
+    if not all(umath.__cpu_features__.get(f) for f in BLAS_KERNELS[kernel]):
+        pytest.skip(f"this host cannot run OpenBLAS's {kernel} kernels")
+    return dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=str(pathlib.Path(sglight.__file__).parents[1]))
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("ledger")
@@ -249,15 +260,37 @@ def test_ledger_holds_without_dispatched_simd(inputs):
 def test_ledger_holds_under_each_openblas_kernel(inputs, kernel):
     """Only fit hands its sums to BLAS, so every other output keeps its bytes
     whichever kernels OpenBLAS picks for the host's CPU."""
-    umath = _simd_groups()[0]
-    if not all(umath.__cpu_features__.get(f) for f in BLAS_KERNELS[kernel]):
-        pytest.skip(f"this host cannot run OpenBLAS's {kernel} kernels")
+    env = _kernel_env(kernel)
     d, calls = inputs
     out = d / f"blas-{kernel}"
     out.mkdir()
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(pathlib.Path(sglight.__file__).parents[1]))
     check(*ledger(calls, out, env), BLAS_LOBE_RTOL)
+
+
+def fitted_axes_digest():
+    """sha256 of the packed lobes sgfit._env_from_params builds from 64 seeded
+    rows; it imports what it uses, since a child process runs its source."""
+    import hashlib
+
+    import numpy as np
+
+    from sglight.sgfit import _env_from_params
+    rng = np.random.default_rng(64)
+    p = np.column_stack([rng.normal(size=(64, 3)), rng.uniform(0.0, 4.0, 64),
+                         rng.uniform(0.0, np.pi, 64), rng.uniform(0.0, 2.0 * np.pi, 64)])
+    return hashlib.sha256(_env_from_params(p).packed.tobytes()).hexdigest()
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not OpenBLAS built "
+                                                    "with DYNAMIC_ARCH")
+@pytest.mark.parametrize("kernel", sorted(BLAS_KERNELS))
+def test_fitted_axes_keep_their_bytes_under_each_openblas_kernel(kernel):
+    """_env_from_params normalises each fitted axis by _dot, not by a BLAS
+    ddot, so its lobes keep their bytes whichever kernel OpenBLAS picks."""
+    code = inspect.getsource(fitted_axes_digest) + "print(fitted_axes_digest())\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=_kernel_env(kernel),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == fitted_axes_digest()
 
 
 if __name__ == "__main__":  # print the current table, to update LEDGER and FIT_*

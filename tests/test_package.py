@@ -242,11 +242,13 @@ def test_module_loads_no_sg(module):
 
 
 def test_no_contraction_is_handed_to_blas():
-    """No np.einsum in src/ passes optimize=, and nothing calls np.tensordot
-    or a dot (np.dot or an array's .dot): _arrays._dot sums three-term dot products.
+    """No np.einsum in src/ passes optimize=, and nothing calls np.tensordot,
+    a dot (np.dot or an array's .dot) or a norm: _arrays._dot sums three-term
+    dot products, and every vector length is np.sqrt(_dot(v, v)).
 
     All can hand a contraction to BLAS, whose blocking and thread count
-    change the last bits of a sum, so outputs would depend on the host.
+    change the last bits of a sum, so outputs would depend on the host;
+    np.linalg.norm of a 1-D array is x.dot(x), a BLAS ddot.
     """
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
@@ -254,7 +256,7 @@ def test_no_contraction_is_handed_to_blas():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("tensordot", "dot") or (
+            if name in ("tensordot", "dot", "norm") or (
                     name == "einsum" and any(kw.arg in ("optimize", None) for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

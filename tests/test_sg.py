@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sglight._arrays import _dot
-from sglight.brdf import hemisphere_grid
+from sglight.brdf import half_vector, hemisphere_grid
 from sglight.sg import (
     SgEnvironment,
     SphericalGaussian,
@@ -292,6 +292,40 @@ class TestDot:
         got = _dot(a, b)
         assert isinstance(got, np.float64)
         assert got == (0.3 * -0.1 + 0.9 * 0.4) + -0.2 * 0.7
+
+
+class TestLengths:
+    """normalize and half_vector divide by np.sqrt(_dot(v, v)), the length
+    summed (x*x + z*z) + y*y at any memory layout and never by BLAS."""
+
+    @staticmethod
+    def fixed_order(v):
+        """v over its length summed in that order in Python floats."""
+        v = np.asarray(v)
+        n = [np.sqrt((x * x + z * z) + y * y) for x, y, z in v.reshape(-1, 3).tolist()]
+        return v / np.reshape(n, v.shape[:-1] + (1,))
+
+    @staticmethod
+    def layouts(a, b):
+        """(a, b) C-ordered, Fortran-ordered, strided by row and by column,
+        as one vector each, as a batch and one vector, and broadcast."""
+        wide = np.repeat(a, 2, axis=0)[::2]
+        cols = np.repeat(b, 2, axis=1)[:, ::2]
+        return [(a, b), (np.asfortranarray(a), np.asfortranarray(b)), (wide, cols),
+                (a[0], b[0]), (a, b[0]), (np.broadcast_to(a[0], b.shape), b)]
+
+    def test_normalize_divides_by_the_fixed_order_length(self):
+        rng = np.random.default_rng(19)
+        a = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-3, 3, size=(500, 3))
+        for pair in self.layouts(a, a[::-1]):
+            for x in pair:
+                assert np.array_equal(normalize(x), self.fixed_order(x))
+
+    def test_half_vector_divides_by_the_fixed_order_length(self):
+        rng = np.random.default_rng(23)
+        v, l = normalize(rng.normal(size=(500, 3))), normalize(rng.normal(size=(500, 3)))
+        for x, y in self.layouts(v, l):
+            assert np.array_equal(half_vector(x, y), self.fixed_order(x + y))
 
 
 class TestLobeValues:
